@@ -120,16 +120,9 @@ def beta_sequence(k_max: int, tol: float = DEFAULT_TOL
     return out
 
 
-def _adjacency_matrix(P: Digraph) -> np.ndarray:
-    mat = np.zeros((P.k, P.k))
-    for a, b in P.arcs:
-        mat[a, b] = 1.0
-    return mat
-
-
 def _has_cycle(P: Digraph) -> bool:
     """A acyclic iff A^k = 0."""
-    mat = _adjacency_matrix(P)
+    mat = P.arc_matrix().astype(float)
     power = mat.copy()
     for _ in range(P.k):
         if not power.any():
@@ -149,7 +142,7 @@ def perron_growth(P: Digraph, tol: float = 1e-12,
     if not _has_cycle(P):
         return CapacityValue(root=1.0, rate_bits=0.0, residual=0.0,
                              iterations=0)
-    mat = _adjacency_matrix(P)
+    mat = P.arc_matrix().astype(float)
     v = np.ones(P.k) / math.sqrt(P.k)
     lam = 0.0
     for it in range(1, max_iters + 1):

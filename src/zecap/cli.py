@@ -28,18 +28,12 @@ from .model import (
     parse_channel_spec,
     parse_digraph_spec,
 )
-from .search import (
-    SearchResult,
-    exact_M,
-    omega_s,
-    thread_count,
-)
+from .search import exact_M, omega_s
 from .capacity import (
     CharacteristicEquation,
     ConvergenceError,
     NAMED_EQUATIONS,
     NoRootError,
-    empirical_rates,
     solve_characteristic,
 )
 from .construct import (
@@ -48,7 +42,6 @@ from .construct import (
     TRIBONACCI_SET,
     largest_block_class,
     ministring_code,
-    no_run3_count,
     verify_code,
 )
 
@@ -154,7 +147,7 @@ def cmd_exact(args) -> int:
     record = run_record(
         "exact",
         {"channel": args.channel, "n": args.n,
-         "deterministic": args.deterministic, "threads": thread_count()},
+         "deterministic": args.deterministic},
         outputs,
         int((time.perf_counter() - t0) * 1000),
     )
@@ -207,7 +200,9 @@ def cmd_sperner(args) -> int:
     res = omega_s(D, P, args.n, lex_min=args.deterministic)
     outputs = res.to_record(
         f"omega_s({D.name or D.to_spec()},{P.name or P.to_spec()})", args.n)
-    outputs["rate_bits"] = math.log2(res.size) / args.n
+    # an empty walk set has no code, hence no rate
+    outputs["rate_bits"] = (math.log2(res.size) / args.n if res.size
+                            else None)
     record = run_record(
         "sperner",
         {"digraph": args.digraph, "type": args.type, "k": args.k,

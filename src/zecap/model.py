@@ -10,7 +10,9 @@ index convention; serialized positions are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 PAIR_LETTERS = ("00", "01", "10", "11")
 
@@ -56,6 +58,14 @@ class ChannelGraph:
     def to_spec(self) -> str:
         return ";".join(f"{a}-{b}" for a, b in self.edge_list())
 
+    def arc_matrix(self) -> np.ndarray:
+        """Symmetric 4x4 boolean edge matrix indexed by pair-letter index."""
+        mat = np.zeros((4, 4), dtype=bool)
+        for a, b in self.edge_list():
+            ia, ib = PAIR_LETTERS.index(a), PAIR_LETTERS.index(b)
+            mat[ia, ib] = mat[ib, ia] = True
+        return mat
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -81,6 +91,13 @@ class Digraph:
 
     def to_spec(self) -> str:
         return ";".join(f"{a}>{b}" for a, b in sorted(self.arcs))
+
+    def arc_matrix(self) -> np.ndarray:
+        """k x k boolean matrix; entry [a, b] is set iff a>b is an arc."""
+        mat = np.zeros((self.k, self.k), dtype=bool)
+        for a, b in self.arcs:
+            mat[a, b] = True
+        return mat
 
 
 @dataclass
@@ -164,6 +181,27 @@ def distinguishable(x: str, y: str, G: ChannelGraph) -> bool:
         if a != b and frozenset((a, b)) in edges:
             return True
     return False
+
+
+def pair_codes(words: Sequence[str], n: int) -> np.ndarray:
+    """(len(words), n-1) array of length-n words in pair letters: entry
+    [w, i] is the pair-letter index of words[w][i:i+2]."""
+    bits = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    bits = (bits - ord("0")).reshape(len(words), n)
+    return 2 * bits[:, :-1] + bits[:, 1:]
+
+
+def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
+                    ) -> np.ndarray:
+    """Coordinatewise power of a (di)graph between two walk arrays.
+
+    A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
+    is the |A| x |B| boolean matrix of `any_i arc[A[:, i], B[:, i]]`, built
+    one coordinate at a time so that no |A| x |B| x L array exists."""
+    out = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
+    for i in range(A.shape[1]):
+        out |= arc[A[:, i, None], B[None, :, i]]
+    return out
 
 
 def enumerate_walks(P: Digraph, n: int, cap: int = DEFAULT_WALK_CAP

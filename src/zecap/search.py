@@ -2,18 +2,25 @@
 M(G,n), maximum cliques of power graphs restricted to walk sets, and
 maximum symmetric cliques of digraph powers.
 
-The kernel is a branch-and-bound maximum-clique search with greedy-coloring
-upper bounds; adjacency rows are packed into Python ints used as bitsets.
-Results are deterministic: vertices are always processed in a fixed order
-and, in deterministic mode, the returned witness is the lexicographically
-smallest maximum clique.
+Every adjacency matrix here is one coordinatewise power,
+`model.power_adjacency`, of a small arc matrix over an array of walks:
+M(G,n) takes G's edge matrix over the pair codes of all 2^n words,
+`omega_power_markov` takes it over the walks of P, and `omega_s` takes the
+AND of the loop-free D power with its transpose.  One pipeline solves them
+all: dominance reduction, packing of rows into Python-int bitsets, a greedy
+seed, and a branch-and-bound maximum-clique search with greedy-coloring
+upper bounds.  Results are deterministic: vertices are always processed in
+a fixed order and, in deterministic mode, the returned witness is the
+lexicographically smallest maximum clique among the vertices the reduction
+keeps.  That need not be the smallest of the whole graph: for channel 00-11
+at n=3 the witness is {000, 111}, while {000, 011} is smaller.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,21 +33,14 @@ from .model import (
     ResourceCapExceeded,
     SpecError,
     all_words,
+    distinguishable,
     enumerate_walks,
+    pair_codes,
+    power_adjacency,
 )
 
 DEFAULT_EXACT_M_CAP = 14          # max block length for exact_M
 DEFAULT_UNIVERSE_CAP = 2**20      # max vertex count for generic clique search
-
-
-def thread_count() -> int:
-    """Worker count from ZECAP_THREADS; absent or invalid means 1.
-    The search kernel is sequential, so any value yields identical sizes."""
-    raw = os.environ.get("ZECAP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -63,79 +63,9 @@ class SearchResult:
         }
 
 
-class _CliqueKernel:
-    """Tomita-style branch and bound on bitset adjacency rows."""
-
-    def __init__(self, adj: list[int], n: int):
-        self.adj = adj
-        self.n = n
-        self.nodes = 0
-        self.best = 0
-        self.best_set: list[int] = []
-
-    def run(self, seed: Sequence[int] = ()) -> None:
-        if seed:
-            self.best = len(seed)
-            self.best_set = list(seed)
-        full = (1 << self.n) - 1
-        self._expand([], full)
-
-    def _expand(self, R: list[int], P: int) -> None:
-        self.nodes += 1
-        adj = self.adj
-        # greedy coloring of P; order holds vertices by nondecreasing color
-        order: list[int] = []
-        colors: list[int] = []
-        uncolored = P
-        color = 0
-        while uncolored:
-            color += 1
-            q = uncolored
-            while q:
-                v = (q & -q).bit_length() - 1
-                bit = 1 << v
-                q &= ~adj[v]
-                q &= ~bit
-                uncolored &= ~bit
-                order.append(v)
-                colors.append(color)
-        depth = len(R)
-        for i in range(len(order) - 1, -1, -1):
-            if depth + colors[i] <= self.best:
-                return
-            v = order[i]
-            new_P = P & adj[v]
-            R.append(v)
-            if new_P:
-                self._expand(R, new_P)
-            elif len(R) > self.best:
-                self.best = len(R)
-                self.best_set = list(R)
-            R.pop()
-            P &= ~(1 << v)
-
-
-def _greedy_clique_in(adj: list[int], P: int) -> int:
-    """Size of the first-fit clique inside bitset P."""
-    size = 0
-    while P:
-        v = (P & -P).bit_length() - 1
-        size += 1
-        P &= adj[v]
-    return size
-
-
-def _has_clique_of_size(adj: list[int], P: int, need: int,
-                        kernel_nodes: list[int]) -> bool:
-    """Decision variant: does the graph induced on bitset P contain a clique
-    of `need` vertices?  Greedy lower bound first, then the coloring bound."""
-    if need <= 0:
-        return True
-    if P.bit_count() < need:
-        return False
-    if _greedy_clique_in(adj, P) >= need:
-        return True
-    # color P
+def _color_classes(adj: list[int], P: int) -> tuple[list[int], list[int]]:
+    """Greedy sequential coloring of bitset P: the vertices class by class
+    and the color of each, so colors are nondecreasing."""
     order: list[int] = []
     colors: list[int] = []
     uncolored = P
@@ -151,6 +81,59 @@ def _has_clique_of_size(adj: list[int], P: int, need: int,
             uncolored &= ~bit
             order.append(v)
             colors.append(color)
+    return order, colors
+
+
+class _CliqueKernel:
+    """Tomita-style branch and bound on bitset adjacency rows."""
+
+    def __init__(self, adj: list[int], seed: Sequence[int]):
+        self.adj = adj
+        self.nodes = 0
+        self.best = len(seed)
+        self.best_set: list[int] = list(seed)
+
+    def expand(self, R: list[int], P: int) -> None:
+        self.nodes += 1
+        adj = self.adj
+        order, colors = _color_classes(adj, P)
+        depth = len(R)
+        for i in range(len(order) - 1, -1, -1):
+            if depth + colors[i] <= self.best:
+                return
+            v = order[i]
+            new_P = P & adj[v]
+            R.append(v)
+            if new_P:
+                self.expand(R, new_P)
+            elif len(R) > self.best:
+                self.best = len(R)
+                self.best_set = list(R)
+            R.pop()
+            P &= ~(1 << v)
+
+
+def _greedy_clique(adj: list[int], P: int) -> list[int]:
+    """First-fit clique inside bitset P, lowest vertex first."""
+    clique: list[int] = []
+    while P:
+        v = (P & -P).bit_length() - 1
+        clique.append(v)
+        P &= adj[v]
+    return clique
+
+
+def _has_clique_of_size(adj: list[int], P: int, need: int,
+                        kernel_nodes: list[int]) -> bool:
+    """Decision variant: does the graph induced on bitset P contain a clique
+    of `need` vertices?  Greedy lower bound first, then the coloring bound."""
+    if need <= 0:
+        return True
+    if P.bit_count() < need:
+        return False
+    if len(_greedy_clique(adj, P)) >= need:
+        return True
+    order, colors = _color_classes(adj, P)
     if colors[-1] < need:
         return False
     kernel_nodes[0] += 1
@@ -197,14 +180,13 @@ def max_clique_bitset(adj: list[int], n: int,
     maximum clique (deterministic mode)."""
     if n > DEFAULT_UNIVERSE_CAP:
         raise ResourceCapExceeded(f"universe {n} exceeds cap")
-    import sys
     if sys.getrecursionlimit() < n + 1000:
         sys.setrecursionlimit(n + 1000)
     t0 = time.perf_counter()
     if n == 0:
         return SearchResult(0, [], 0, time.perf_counter() - t0)
-    kern = _CliqueKernel(adj, n)
-    kern.run(seed)
+    kern = _CliqueKernel(adj, seed)
+    kern.expand([], (1 << n) - 1)
     if kern.best == 0:
         # every graph with a vertex has a 1-clique; seed was empty
         kern.best, kern.best_set = 1, [0]
@@ -216,70 +198,9 @@ def max_clique_bitset(adj: list[int], n: int,
                         time.perf_counter() - t0)
 
 
-def max_clique(universe: Sequence, predicate: Callable, *,
-               lex_min: bool = True,
-               cap: int = DEFAULT_UNIVERSE_CAP) -> SearchResult:
-    """Maximum clique for an explicit vertex universe and a symmetric pair
-    predicate; witness holds universe elements."""
-    m = len(universe)
-    if m > cap:
-        raise ResourceCapExceeded(f"universe {m} exceeds cap {cap}")
-    mat = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if predicate(universe[i], universe[j]):
-                mat[i, j] = mat[j, i] = True
-    keep = dominated_vertex_mask(mat)
-    idx = np.flatnonzero(keep)
-    adj = _rows_to_bitsets(mat[np.ix_(idx, idx)])
-    seed = _greedy_clique(adj, len(idx))
-    res = max_clique_bitset(adj, len(idx), seed=seed, lex_min=lex_min)
-    res.witness = [universe[int(idx[i])] for i in res.witness]
-    return res
-
-
-def _pair_codes(n: int) -> np.ndarray:
-    """(2^n, n-1) array; entry [w, i] is the pair-letter index of word w at
-    coordinate i."""
-    words = np.arange(2**n, dtype=np.uint32)
-    cols = []
-    for i in range(n - 1):
-        shift = n - 2 - i
-        cols.append((words >> shift) & 3)
-    return np.stack(cols, axis=1).astype(np.uint8)
-
-
-def _edge_matrix(G: ChannelGraph) -> np.ndarray:
-    mat = np.zeros((4, 4), dtype=bool)
-    for a, b in G.edge_list():
-        ia, ib = PAIR_LETTERS.index(a), PAIR_LETTERS.index(b)
-        mat[ia, ib] = mat[ib, ia] = True
-    return mat
-
-
 def _rows_to_bitsets(mat: np.ndarray) -> list[int]:
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def distinguishability_matrix(G: ChannelGraph, n: int) -> np.ndarray:
-    """Boolean adjacency of the distinguishability graph on all 2^n
-    length-n words (word w <-> vertex int(w, 2))."""
-    N = 2**n
-    if n == 1:
-        return np.zeros((2, 2), dtype=bool)
-    codes = _pair_codes(n)
-    emat = _edge_matrix(G)
-    adj = np.zeros((N, N), dtype=bool)
-    for i in range(n - 1):
-        col = codes[:, i]
-        adj |= emat[col[:, None], col[None, :]]
-    return adj
-
-
-def distinguishability_adjacency(G: ChannelGraph, n: int) -> list[int]:
-    """Bitset adjacency rows of the distinguishability graph."""
-    return _rows_to_bitsets(distinguishability_matrix(G, n))
 
 
 def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
@@ -308,28 +229,60 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
         keep[idx[remove]] = False
 
 
+def _solve_clique(mat: np.ndarray, lex_min: bool, t0: float
+                  ) -> SearchResult:
+    """The search pipeline for a boolean adjacency matrix: dominance
+    reduction, bitset packing, greedy seed, branch and bound.  The witness
+    holds row indices of `mat`; `elapsed` counts from t0."""
+    idx = np.flatnonzero(dominated_vertex_mask(mat))
+    adj = _rows_to_bitsets(mat[np.ix_(idx, idx)])
+    m = len(idx)
+    res = max_clique_bitset(adj, m, seed=_greedy_clique(adj, (1 << m) - 1),
+                            lex_min=lex_min)
+    res.witness = [int(idx[v]) for v in res.witness]
+    res.elapsed = time.perf_counter() - t0
+    return res
+
+
+def max_clique(universe: Sequence, predicate: Callable, *,
+               lex_min: bool = True,
+               cap: int = DEFAULT_UNIVERSE_CAP) -> SearchResult:
+    """Maximum clique for an explicit vertex universe and a symmetric pair
+    predicate; witness holds universe elements."""
+    m = len(universe)
+    if m > cap:
+        raise ResourceCapExceeded(f"universe {m} exceeds cap {cap}")
+    t0 = time.perf_counter()
+    mat = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if predicate(universe[i], universe[j]):
+                mat[i, j] = mat[j, i] = True
+    res = _solve_clique(mat, lex_min, t0)
+    res.witness = [universe[i] for i in res.witness]
+    return res
+
+
+def distinguishability_matrix(G: ChannelGraph, n: int) -> np.ndarray:
+    """Boolean adjacency of the distinguishability graph on all 2^n
+    length-n words (word w <-> vertex int(w, 2)): G's power on their pair
+    codes."""
+    codes = pair_codes(list(all_words(n)), n)
+    return power_adjacency(G.arc_matrix(), codes, codes)
+
+
 def greedy_code(G: ChannelGraph, n: int, order: Sequence[str] | None = None
                 ) -> Code:
     """Maximal pairwise-distinguishable code by greedy scan; lexicographic
     order unless an explicit word order is given."""
     words = list(order) if order is not None else list(all_words(n))
-    if n == 1:
-        return Code(n, {words[0]}, provenance="greedy")
-    emat = _edge_matrix(G)
-    codes = _pair_codes(n)
-    kept: list[str] = []
-    kept_codes: list[np.ndarray] = []
-    for w in words:
-        c = codes[int(w, 2)]
-        if not kept:
-            kept.append(w)
-            kept_codes.append(c)
-            continue
-        block = np.stack(kept_codes)
-        if bool(emat[block, c[None, :]].any(axis=1).all()):
-            kept.append(w)
-            kept_codes.append(c)
-    return Code(n, set(kept), provenance="greedy")
+    arc = G.arc_matrix()
+    codes = pair_codes(words, n)
+    kept: list[int] = []
+    for i in range(len(words)):
+        if power_adjacency(arc, codes[i:i + 1], codes[kept]).all():
+            kept.append(i)
+    return Code(n, {words[i] for i in kept}, provenance="greedy")
 
 
 def exact_M(G: ChannelGraph, n: int, *, cap: int = DEFAULT_EXACT_M_CAP,
@@ -344,27 +297,9 @@ def exact_M(G: ChannelGraph, n: int, *, cap: int = DEFAULT_EXACT_M_CAP,
     if n == 1:
         # no coordinate pair exists, so no two words are distinguishable
         return SearchResult(1, ["0"], 0, time.perf_counter() - t0)
-    mat = distinguishability_matrix(G, n)
-    keep = dominated_vertex_mask(mat)
-    idx = np.flatnonzero(keep)
-    adj = _rows_to_bitsets(mat[np.ix_(idx, idx)])
-    m = len(idx)
-    seed = _greedy_clique(adj, m)
-    res = max_clique_bitset(adj, m, seed=seed, lex_min=lex_min)
-    res.witness = [format(int(idx[v]), f"0{n}b") for v in res.witness]
-    res.elapsed = time.perf_counter() - t0
+    res = _solve_clique(distinguishability_matrix(G, n), lex_min, t0)
+    res.witness = [format(v, f"0{n}b") for v in res.witness]
     return res
-
-
-def _greedy_clique(adj: list[int], n: int) -> list[int]:
-    """First-fit clique over vertices in index order; the incumbent seed."""
-    clique: list[int] = []
-    cand = (1 << n) - 1
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        clique.append(v)
-        cand &= adj[v]
-    return clique
 
 
 def naive_exact_M(G: ChannelGraph, n: int) -> int:
@@ -372,7 +307,6 @@ def naive_exact_M(G: ChannelGraph, n: int) -> int:
     the trivial |R|+|P| bound, no coloring, no ordering, no greedy seed."""
     words = list(all_words(n))
     adj = [0] * len(words)
-    from .model import distinguishable
     for i, x in enumerate(words):
         for j in range(i + 1, len(words)):
             if distinguishable(x, words[j], G):
@@ -398,11 +332,12 @@ def naive_exact_M(G: ChannelGraph, n: int) -> int:
     return max(best[0], 1)
 
 
-def _walk_universe(P: Digraph, m: int, cap: int) -> list[tuple[int, ...]]:
+def _walk_universe(P: Digraph, m: int, cap: int) -> np.ndarray:
+    """V^m(P) in lexicographic order, one walk per row."""
     walks = enumerate_walks(P, m, cap=cap)
     if len(walks) > cap:
         raise ResourceCapExceeded(f"walk universe {len(walks)} exceeds cap")
-    return walks
+    return np.array(walks, dtype=np.intp).reshape(len(walks), m)
 
 
 def omega_power_markov(G: ChannelGraph, P: Digraph, m: int, *,
@@ -413,14 +348,12 @@ def omega_power_markov(G: ChannelGraph, P: Digraph, m: int, *,
     if P.k != 4:
         raise SpecError("omega_power_markov expects a digraph on the 4 "
                         "pair letters")
+    t0 = time.perf_counter()
     walks = _walk_universe(P, m, cap)
-    emat = _edge_matrix(G)
-
-    def adjacent(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        return any(emat[a, b] for a, b in zip(u, v))
-
-    res = max_clique(walks, adjacent, lex_min=lex_min, cap=cap)
-    res.witness = ["".join(PAIR_LETTERS[v] for v in w) for w in res.witness]
+    res = _solve_clique(power_adjacency(G.arc_matrix(), walks, walks),
+                        lex_min, t0)
+    res.witness = ["".join(PAIR_LETTERS[v] for v in walks[i])
+                   for i in res.witness]
     return res
 
 
@@ -432,17 +365,10 @@ def omega_s(D: Digraph, P: Digraph, n: int, *,
     arc in each direction.  Loop arcs of D are ignored."""
     if D.k != P.k:
         raise SpecError(f"vertex-count mismatch: D has {D.k}, P has {P.k}")
-    D = D.without_loops()
+    t0 = time.perf_counter()
     walks = _walk_universe(P, n, cap)
-    arcs = D.arcs
-
-    def forward(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        return any((a, b) in arcs for a, b in zip(u, v))
-
+    forward = power_adjacency(D.without_loops().arc_matrix(), walks, walks)
     # symmetric clique == clique in the AND of the two oriented relations
-    def both(u, v):
-        return forward(u, v) and forward(v, u)
-
-    res = max_clique(walks, both, lex_min=lex_min, cap=cap)
-    res.witness = ["".join(str(v) for v in w) for w in res.witness]
+    res = _solve_clique(forward & forward.T, lex_min, t0)
+    res.witness = ["".join(str(v) for v in walks[i]) for i in res.witness]
     return res

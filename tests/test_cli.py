@@ -161,6 +161,14 @@ class TestSpernerCommand:
         assert rec["outputs"]["size"] == 2
         assert rec["outputs"]["rate_bits"] == 1.0
 
+    def test_empty_walk_set_has_no_rate(self):
+        # 0>1 admits no walk of length 3, so the code is empty
+        proc = run_cli("sperner", "--digraph", "fibonacci", "--type", "0>1",
+                       "--k", "2", "--n", "3")
+        assert proc.returncode == 0, proc.stderr
+        out = record_of(proc)["outputs"]
+        assert (out["size"], out["witness"], out["rate_bits"]) == (0, [], None)
+
 
 class TestReportCommand:
     def test_csv_columns_and_rows(self, tmp_path):

@@ -1,0 +1,100 @@
+"""Golden CLI records: a fixed set of zecap invocations whose JSON records
+must stay byte-identical (with `elapsed_ms` zeroed) across refactors.
+
+Regenerate the golden file with `python tests/test_golden_records.py`; a
+regenerated file belongs in a commit only with every changed record
+explained in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import zecap.cli
+
+GOLDEN = Path(__file__).with_name("golden_records.jsonl")
+
+# Word files for `verify`, built without zecap: odd 1-runs with a leading 0
+# pass on G; no-11 words fail on Q, and on 00-11 with more failures than
+# the report keeps.
+VERIFY_FILES = {
+    "oddrun-8.txt": [w for w in (format(v, "08b") for v in range(256))
+                     if w[0] == "0" and all(len(r) % 2 for r in
+                                            re.findall("1+", w))],
+    "fibonacci-8.txt": [w for w in (format(v, "08b") for v in range(256))
+                        if "11" not in w],
+}
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs = []
+    for channel in ("F", "G", "L", "Q", "00-11"):
+        for n in range(2, 9):
+            argvs.append(["exact", "--channel", channel, "--n", str(n)])
+    argvs.append(["exact", "--channel", "G", "--n", "8",
+                  "--no-deterministic"])
+    for n in range(1, 9):
+        argvs.append(["sperner", "--digraph", "0>1", "--type", "fibonacci",
+                      "--k", "2", "--n", str(n)])
+    argvs.append(["sperner", "--digraph", "C5sym", "--type", "K5",
+                  "--k", "5", "--n", "2"])
+    for family in ("fibonacci", "ministring-tribonacci", "no-isolated-ones",
+                   "no111", "oddrun"):
+        argvs.append(["construct", "--family", family, "--n", "8"])
+    argvs.append(["verify", "--code", "oddrun-8.txt", "--channel", "G"])
+    argvs.append(["verify", "--code", "fibonacci-8.txt", "--channel", "Q"])
+    argvs.append(["verify", "--code", "fibonacci-8.txt", "--channel",
+                  "00-11"])
+    for lengths, tail in (("1,2,3", None), ("1", "2,2"), ("1", "3,1"),
+                          ("1,2", None)):
+        argvs.append(["capacity", "--lengths", lengths]
+                     + (["--tail", tail] if tail else []))
+    argvs.append(["report", "--n-max", "6"])
+    return argvs
+
+
+def golden_line(argv: list[str]) -> str:
+    """One JSONL line: the argv, the exit code and the record with its
+    timings zeroed.  Runs in the current directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = zecap.cli.main(argv)
+    record = json.loads(out.getvalue())
+    record["elapsed_ms"] = 0
+    if "elapsed_ms" in record["outputs"]:
+        record["outputs"]["elapsed_ms"] = 0
+    return json.dumps({"argv": argv, "exit": rc, "record": record},
+                      sort_keys=True)
+
+
+def write_verify_files(directory: Path) -> None:
+    for name, words in VERIFY_FILES.items():
+        (directory / name).write_text("".join(w + "\n" for w in words))
+
+
+def test_golden_records(tmp_path, monkeypatch):
+    write_verify_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    expected = GOLDEN.read_text().splitlines()
+    argvs = golden_argvs()
+    assert [json.loads(line)["argv"] for line in expected] == argvs
+    for argv, line in zip(argvs, expected):
+        assert golden_line(argv) == line, " ".join(argv)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        write_verify_files(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            lines = [golden_line(argv) for argv in golden_argvs()]
+        finally:
+            os.chdir(here)
+    GOLDEN.write_text("".join(line + "\n" for line in lines))
+    sys.stdout.write(f"wrote {len(lines)} records to {GOLDEN}\n")

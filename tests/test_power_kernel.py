@@ -1,0 +1,159 @@
+"""The power-graph kernel and the searches built on it, against scalar
+pair predicates."""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zecap.construct as construct
+from zecap.construct import VerificationReport, verify_code
+from zecap.model import (
+    PAIR_LETTERS,
+    Code,
+    Digraph,
+    all_words,
+    distinguishable,
+    enumerate_walks,
+    pair_codes,
+    parse_channel_spec,
+    power_adjacency,
+)
+from zecap.search import (
+    distinguishability_matrix,
+    max_clique,
+    omega_power_markov,
+    omega_s,
+)
+
+PAIR_EDGES = [f"{a}-{b}" for a, b in itertools.combinations(PAIR_LETTERS, 2)]
+
+channels = st.sets(st.sampled_from(PAIR_EDGES)).map(
+    lambda edges: parse_channel_spec(";".join(sorted(edges))))
+
+
+def digraphs(k: int):
+    """Random digraphs on k vertices; loops allowed."""
+    arcs = list(itertools.product(range(k), repeat=2))
+    return st.sets(st.sampled_from(arcs)).map(
+        lambda s: Digraph(k, frozenset(s)))
+
+
+@st.composite
+def codes(draw):
+    n = draw(st.integers(1, 5))
+    words = draw(st.sets(st.integers(0, 2**n - 1), min_size=1))
+    return Code(n, {format(v, f"0{n}b") for v in words})
+
+
+def reference_report(code: Code, G) -> VerificationReport:
+    """verify_code's contract as a plain loop over the scalar predicate."""
+    words = code.sorted_words()
+    failures = []
+    checked = 0
+    for i, x in enumerate(words):
+        for y in words[i + 1:]:
+            checked += 1
+            if (not distinguishable(x, y, G)
+                    and len(failures) < VerificationReport.MAX_FAILURES):
+                failures.append((x, y))
+    return VerificationReport(not failures, checked, failures)
+
+
+class TestPowerAdjacency:
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(k), digraphs(k), st.integers(0, 3), st.integers(0, 5),
+        st.integers(0, 5), st.randoms(use_true_random=False))))
+    def test_matches_scalar_loop(self, args):
+        k, D, L, na, nb, rng = args
+        A = np.array([[rng.randrange(k) for _ in range(L)]
+                      for _ in range(na)], dtype=np.intp).reshape(na, L)
+        B = np.array([[rng.randrange(k) for _ in range(L)]
+                      for _ in range(nb)], dtype=np.intp).reshape(nb, L)
+        got = power_adjacency(D.arc_matrix(), A, B)
+        assert got.shape == (na, nb)
+        for i, j in itertools.product(range(na), range(nb)):
+            assert got[i, j] == any(D.has_arc(int(a), int(b))
+                                    for a, b in zip(A[i], B[j]))
+
+    @given(channels, st.integers(1, 5))
+    def test_distinguishability_matrix(self, G, n):
+        words = list(all_words(n))
+        mat = distinguishability_matrix(G, n)
+        for i, j in itertools.product(range(len(words)), repeat=2):
+            assert mat[i, j] == distinguishable(words[i], words[j], G)
+
+    def test_pair_codes(self):
+        codes_ = pair_codes(["0110", "1001"], 4)
+        assert codes_.tolist() == [[1, 3, 2], [2, 0, 1]]
+        assert pair_codes(["0", "1"], 1).shape == (2, 0)
+
+
+class TestVerifyCodeOracle:
+    @settings(max_examples=200)
+    @given(codes(), channels, st.sampled_from([1, 7, 2**20]))
+    def test_matches_pairwise_loop(self, code, G, block):
+        with mock.patch.object(construct, "VERIFY_BLOCK_PAIRS", block):
+            got = verify_code(code, G)
+        assert got.to_record() == reference_report(code, G).to_record()
+
+    @pytest.mark.parametrize("block", [1, 2**20])
+    def test_failure_cap_keeps_the_first_pairs_in_order(self, block):
+        code = Code(5, set(all_words(5)))
+        edgeless = parse_channel_spec("")
+        with mock.patch.object(construct, "VERIFY_BLOCK_PAIRS", block):
+            got = verify_code(code, edgeless)
+        assert got.checked_pairs == 32 * 31 // 2
+        assert got.to_record() == reference_report(code, edgeless).to_record()
+        assert len(got.failures) == VerificationReport.MAX_FAILURES
+
+    def test_single_word_and_length_one(self):
+        F = parse_channel_spec("00-01;00-10;01-10")
+        assert verify_code(Code(1, {"0"}), F).to_record() == \
+            {"pass": True, "checked_pairs": 0, "failures": []}
+        assert verify_code(Code(1, {"0", "1"}), F).to_record() == \
+            {"pass": False, "checked_pairs": 1, "failures": [["0", "1"]]}
+
+
+class TestOmegaMatrices:
+    @settings(max_examples=60, deadline=None)
+    @given(channels, digraphs(4), st.integers(1, 3))
+    def test_power_markov_equals_scalar_predicate(self, G, P, m):
+        walks = enumerate_walks(P, m)
+        reference = max_clique(
+            walks, lambda u, v: any(G.has_edge(PAIR_LETTERS[a],
+                                               PAIR_LETTERS[b])
+                                    for a, b in zip(u, v)))
+        got = omega_power_markov(G, P, m)
+        assert got.size == reference.size
+        assert got.witness == ["".join(PAIR_LETTERS[v] for v in w)
+                               for w in reference.witness]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        digraphs(k), digraphs(k))), st.integers(1, 4))
+    def test_omega_s_equals_scalar_predicate(self, DP, n):
+        D, P = DP
+
+        def forward(u, v):
+            return any(a != b and D.has_arc(a, b) for a, b in zip(u, v))
+
+        walks = enumerate_walks(P, n)
+        reference = max_clique(
+            walks, lambda u, v: forward(u, v) and forward(v, u))
+        got = omega_s(D, P, n)
+        assert got.size == reference.size
+        assert got.witness == ["".join(map(str, w))
+                               for w in reference.witness]
+
+    def test_empty_walk_set(self):
+        no_arcs = Digraph(2, frozenset())
+        arc01 = Digraph(2, frozenset({(0, 1)}))
+        res = omega_s(arc01, no_arcs, 3)
+        assert (res.size, res.witness) == (0, [])
+        res = omega_power_markov(parse_channel_spec("00-01"),
+                                 Digraph(4, frozenset()), 2)
+        assert (res.size, res.witness) == (0, [])
+
