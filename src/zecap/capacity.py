@@ -1,7 +1,7 @@
 """Analytic capacity values: roots of characteristic equations
 sum_l x^l = 1 for ministring length multisets (with optional geometric
-tails), Perron growth rates of walk digraphs, and empirical rate series
-from exact counts.
+tails), Perron growth rates of walk digraphs from their spectral radii,
+and empirical rate series from exact counts.
 
 All rates are in bits (base-2 logarithms).
 """
@@ -131,39 +131,22 @@ def _has_cycle(P: Digraph) -> bool:
     return True
 
 
-def perron_growth(P: Digraph, tol: float = 1e-12,
-                  max_iters: int = 100000) -> CapacityValue:
-    """log2 of the spectral radius of P's adjacency matrix by power
-    iteration; this is the exponential growth rate of |V^n(P)|.
+def perron_growth(P: Digraph) -> CapacityValue:
+    """log2 of the spectral radius of P's adjacency matrix, from all its
+    eigenvalues; this is the exponential growth rate of |V^n(P)|.
 
-    Acyclic digraphs return rate 0 with root 1.  If the iteration does not
-    settle (reducible or periodic structure), falls back to the geometric
-    mean of walk-count ratios over n <= 64."""
+    Acyclic digraphs return rate 0 with root 1.  `residual` is
+    ||A x - lambda x|| of the dominant eigenpair."""
     if not _has_cycle(P):
         return CapacityValue(root=1.0, rate_bits=0.0, residual=0.0,
                              iterations=0)
     mat = P.arc_matrix().astype(float)
-    v = np.ones(P.k) / math.sqrt(P.k)
-    lam = 0.0
-    for it in range(1, max_iters + 1):
-        w = mat @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        new_lam = norm
-        v = w / norm
-        if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
-            lam = new_lam
-            return CapacityValue(root=1.0 / lam, rate_bits=math.log2(lam),
-                                 residual=abs(new_lam - lam), iterations=it)
-        lam = new_lam
-    # counting-ratio fallback: lam ~ (|V^(n+m)| / |V^n|)^(1/m)
-    from .model import count_walks
-    lo_n, hi_n = 32, 64
-    lo, hi = count_walks(P, lo_n), count_walks(P, hi_n)
-    lam = (hi / lo) ** (1.0 / (hi_n - lo_n))
+    vals, vecs = np.linalg.eig(mat)
+    i = int(np.argmax(np.abs(vals)))
+    residual = float(np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]))
+    lam = float(np.abs(vals[i]))
     return CapacityValue(root=1.0 / lam, rate_bits=math.log2(lam),
-                         residual=float("nan"), iterations=max_iters)
+                         residual=residual, iterations=0)
 
 
 def empirical_rates(counts: Sequence[int]

@@ -1,13 +1,21 @@
-"""Explicit code families and converse-proof maps: ministring concatenation
-codes, odd-run and no-111 and no-isolated-ones sets, Fibonacci strings, the
-111->101 normalization, the even-run shortening map, and sliding two-bit
-maps.
+"""Explicit code families and converse-proof maps.
+
+Every family `zecap construct` emits is a ministring code, one row of
+`_FAMILY_SETS`: the length-n concatenations of a postfix-free
+MinistringSet or, without the leading zero, the words w for which "0" + w
+is one.  `ministring_code` and `ministring_count` are the one enumerator
+and the one counter.  Also here: unique factorization, the 111->101
+normalization, the even-run shortening map, sliding two-bit maps and code
+verification.
 
 Family counts use exact Python integers; recurrences stay exact at any n.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +24,7 @@ import numpy as np
 from .model import (
     ChannelGraph,
     Code,
+    ResourceCapExceeded,
     SpecError,
     check_word,
     pair_codes,
@@ -24,6 +33,8 @@ from .model import (
 
 # verify_code holds at most about this many pair outcomes at once
 VERIFY_BLOCK_PAIRS = 2**20
+# ministring_code refuses, before building anything, a code of more words
+MAX_CODE_WORDS = 2**20
 
 
 class NotDecomposable(ValueError):
@@ -68,6 +79,7 @@ class MinistringSet:
 TRIBONACCI_SET = MinistringSet(("0", "01", "011"))
 ODD_RUN_SET = MinistringSet(("0", "01"), tail=(4, 2))
 NO_ISOLATED_ONES_SET = MinistringSet(("0",), tail=(3, 1))
+FIBONACCI_SET = MinistringSet(("0", "01"))
 
 
 def postfix_free(S: MinistringSet, check_up_to: int = 0) -> bool:
@@ -106,32 +118,52 @@ def decompose(x: str, S: MinistringSet) -> list[str]:
     return parts
 
 
-def ministring_code(S: MinistringSet, n: int) -> Code:
-    """All length-n concatenations of members of S."""
+def ministring_code(S: MinistringSet, n: int,
+                    leading_zero: bool = True) -> Code:
+    """All length-n concatenations of members of S; with leading_zero=False,
+    the words w for which "0" + w is a length-(n+1) concatenation.
+
+    Raises ResourceCapExceeded, before building anything, when the code
+    would hold more than MAX_CODE_WORDS words."""
     if n < 1:
         raise SpecError("n must be >= 1")
-    if not postfix_free(S, check_up_to=n):
+    count = ministring_count(S, n, leading_zero)
+    if count > MAX_CODE_WORDS:
+        raise ResourceCapExceeded(f"code of about 2^{math.log2(count):.1f} "
+                                  f"words exceeds cap {MAX_CODE_WORDS}")
+    if not postfix_free(S, check_up_to=n + 1):
         raise SpecError("ministring set is not postfix-free")
-    members = S.members_up_to(n)
-    layers: list[set[str]] = [set() for _ in range(n + 1)]
-    layers[0].add("")
-    for length in range(1, n + 1):
-        for s in members:
-            if len(s) <= length:
-                for prefix in layers[length - len(s)]:
-                    layers[length].add(prefix + s)
-    return Code(n, layers[n], provenance=f"ministrings{S.lengths_up_to(n)}")
+    members = S.members_up_to(n + 1)
+    # layers[m] lists the length-m concatenations as a first member then a
+    # shorter concatenation; postfix-freeness makes them all distinct
+    layers = [[""]]
+    for m in range(1, n + 1):
+        layers.append([s + rest for s in members if len(s) <= m
+                       for rest in layers[m - len(s)]])
+    if leading_zero:
+        words = layers[n]
+    else:
+        words = [s[1:] + rest for s in members if s[0] == "0"
+                 for rest in layers[n + 1 - len(s)]]
+    return Code(n, set(words), provenance=f"ministrings{S.lengths_up_to(n)}")
 
 
-def ministring_count(S: MinistringSet, n: int) -> int:
-    """|ministring_code(S, n)| by the exact length recurrence
-    a_n = sum over ministring lengths l of a_{n-l}, a_0 = 1."""
-    lengths = S.lengths_up_to(n) if n >= 1 else []
-    a = [0] * (n + 1)
-    a[0] = 1
+def ministring_count(S: MinistringSet, n: int,
+                     leading_zero: bool = True) -> int:
+    """|ministring_code(S, n, leading_zero)| by the exact length recurrence
+    a_m = sum over ministring lengths l of a_{m-l}, a_0 = 1; without the
+    leading zero it is the sum of a_{n+1-l} over the members of length l
+    that start with 0."""
+    if n < 0:
+        raise SpecError("n must be >= 0")
+    lengths = S.lengths_up_to(n)
+    a = [1] + [0] * n
     for m in range(1, n + 1):
         a[m] = sum(a[m - l] for l in lengths if l <= m)
-    return a[n]
+    if leading_zero:
+        return a[n]
+    return sum(a[n + 1 - len(s)] for s in S.members_up_to(n + 1)
+               if s[0] == "0")
 
 
 def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:
@@ -147,23 +179,6 @@ def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:
                 provenance=f"{code.provenance}|block={block} x{best}")
 
 
-def no_run3_set(n: int) -> Code:
-    """All length-n words with no three consecutive 1s."""
-    if n < 1:
-        raise SpecError("n must be >= 1")
-    words = {format(v, f"0{n}b") for v in range(2**n)}
-    return Code(n, {w for w in words if "111" not in w}, provenance="no111")
-
-
-def no_run3_count(n: int) -> int:
-    """|no_run3_set(n)| via d_m = d_{m-1} + d_{m-2} + d_{m-3}, d_0 = 1."""
-    d = [0] * (max(n, 3) + 1)
-    d[0], d[1], d[2] = 1, 2, 4
-    for m in range(3, n + 1):
-        d[m] = d[m - 1] + d[m - 2] + d[m - 3]
-    return d[n]
-
-
 def normalize_no111(x: str) -> str:
     """Replace the leftmost 111 by 101 until no 111 remains; length and
     fixed points of the no-111 set are preserved."""
@@ -177,46 +192,7 @@ def normalize_no111(x: str) -> str:
 
 def _runs_of_ones(x: str) -> list[tuple[int, int]]:
     """(start, length) of each maximal run of 1s, 0-based."""
-    runs = []
-    i = 0
-    while i < len(x):
-        if x[i] == "1":
-            j = i
-            while j < len(x) and x[j] == "1":
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def odd_run_code(n: int, leading_zero: bool) -> Code:
-    """Words whose maximal 1-runs all have odd length; leading_zero
-    additionally requires the first bit to be 0."""
-    if n < 1:
-        raise SpecError("n must be >= 1")
-    words = set()
-    for v in range(2**n):
-        w = format(v, f"0{n}b")
-        if leading_zero and w[0] != "0":
-            continue
-        if all(length % 2 == 1 for _, length in _runs_of_ones(w)):
-            words.add(w)
-    return Code(n, words, provenance="oddrun" + ("0" if leading_zero else ""))
-
-
-def odd_run_count(n: int, leading_zero: bool = True) -> int:
-    """Exact cardinality of odd_run_code.  With leading zero this is the
-    ministring recurrence over lengths {1, 2, 4, 6, ...}; without, words
-    starting with 1 contribute an odd-length head run before a leading-zero
-    remainder."""
-    c = [1] + [0] * n
-    for m in range(1, n + 1):
-        c[m] = c[m - 1] + sum(c[m - l] for l in range(2, m + 1, 2))
-    if leading_zero:
-        return c[n]
-    return c[n] + sum(c[n - l] for l in range(1, n + 1, 2))
+    return [(m.start(), len(m.group())) for m in re.finditer("1+", x)]
 
 
 def shorten_even_runs(x: str) -> str:
@@ -255,38 +231,6 @@ def sliding_g_map(x: str, g: PairFunction) -> str:
     return "".join(out)
 
 
-def no_isolated_ones_set(n: int) -> Code:
-    """Words with first bit 0 and no isolated 1 (every 1-run length >= 2)."""
-    if n < 1:
-        raise SpecError("n must be >= 1")
-    words = set()
-    for v in range(2 ** (n - 1)):
-        w = "0" + format(v, f"0{n-1}b") if n > 1 else "0"
-        if all(length >= 2 for _, length in _runs_of_ones(w)):
-            words.add(w)
-    return Code(n, words, provenance="no-isolated-ones")
-
-
-def no_isolated_ones_count(n: int) -> int:
-    return ministring_count(NO_ISOLATED_ONES_SET, n)
-
-
-def fibonacci_set(n: int) -> Code:
-    """All length-n words with no two consecutive 1s."""
-    if n < 1:
-        raise SpecError("n must be >= 1")
-    words = {format(v, f"0{n}b") for v in range(2**n)}
-    return Code(n, {w for w in words if "11" not in w}, provenance="fibonacci")
-
-
-def fibonacci_count(n: int) -> int:
-    """|fibonacci_set(n)| via f_m = f_{m-1} + f_{m-2}, f_0 = 1, f_1 = 2."""
-    a, b = 1, 2
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b if n >= 1 else a
-
-
 @dataclass
 class VerificationReport:
     passed: bool
@@ -323,18 +267,18 @@ def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
     return VerificationReport(not failures, k * (k - 1) // 2, failures)
 
 
-FAMILIES = {
-    "ministring-tribonacci": lambda n: ministring_code(TRIBONACCI_SET, n),
-    "oddrun": lambda n: odd_run_code(n, leading_zero=True),
-    "no111": no_run3_set,
-    "no-isolated-ones": no_isolated_ones_set,
-    "fibonacci": fibonacci_set,
+# family -> (ministring set, leading_zero); after a 0, the tribonacci set
+# gives the words with no 111 and {0, 01} the words with no 11
+_FAMILY_SETS = {
+    "ministring-tribonacci": (TRIBONACCI_SET, True),
+    "oddrun": (ODD_RUN_SET, True),
+    "no111": (TRIBONACCI_SET, False),
+    "no-isolated-ones": (NO_ISOLATED_ONES_SET, True),
+    "fibonacci": (FIBONACCI_SET, False),
 }
 
-FAMILY_COUNTS = {
-    "ministring-tribonacci": lambda n: ministring_count(TRIBONACCI_SET, n),
-    "oddrun": lambda n: odd_run_count(n, leading_zero=True),
-    "no111": no_run3_count,
-    "no-isolated-ones": no_isolated_ones_count,
-    "fibonacci": fibonacci_count,
-}
+FAMILIES = {name: functools.partial(ministring_code, S, leading_zero=lz)
+            for name, (S, lz) in _FAMILY_SETS.items()}
+
+FAMILY_COUNTS = {name: functools.partial(ministring_count, S, leading_zero=lz)
+                 for name, (S, lz) in _FAMILY_SETS.items()}

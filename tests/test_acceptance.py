@@ -40,18 +40,15 @@ from zecap.capacity import (
     solve_characteristic,
 )
 from zecap.construct import (
+    FAMILIES,
+    FAMILY_COUNTS,
     G_STAR_00,
     G_STAR_01,
+    ODD_RUN_SET,
     TRIBONACCI_SET,
-    fibonacci_count,
-    fibonacci_set,
     largest_block_class,
     ministring_code,
     ministring_count,
-    no_isolated_ones_count,
-    no_isolated_ones_set,
-    no_run3_count,
-    odd_run_count,
     shorten_even_runs,
     sliding_g_map,
     verify_code,
@@ -120,7 +117,7 @@ def test_criterion_2_triangle_sandwich():
         lower = len(largest_block_class(
             ministring_code(TRIBONACCI_SET, n), TRIBONACCI_SET, "011"))
         exact = exact_M(TRIANGLE_F, n, lex_min=False).size
-        upper = no_run3_count(n)
+        upper = FAMILY_COUNTS["no111"](n)
         ok &= lower <= exact <= upper
         if n <= 6:
             ok &= exact == bk_oracle_M(TRIANGLE_F, n)
@@ -175,9 +172,10 @@ def test_criterion_5_odd_run_converse():
     # (c) exact_M(G,n) <= |B_n| (n <= 12) and |B_n| < 3|C_n| (10 <= n <= 14)
     for n in range(1, 13):
         ok &= exact_M(TRIANGLE_G, n, lex_min=False).size \
-            <= odd_run_count(n, leading_zero=False)
+            <= ministring_count(ODD_RUN_SET, n, leading_zero=False)
     for n in range(10, 15):
-        ok &= odd_run_count(n, False) < 3 * odd_run_count(n, True)
+        ok &= ministring_count(ODD_RUN_SET, n, leading_zero=False) \
+            < 3 * ministring_count(ODD_RUN_SET, n)
     report("5 (odd-run converse mechanics)", ok,
            "map range, collision pairs, |B_n| bounds, n <= 14")
     assert ok
@@ -189,7 +187,7 @@ def test_criterion_6a_star00_map_lands_in_no_isolated_ones():
     # the map and its final 1 is isolated.  Kept as stated; expected FAIL.
     failures = []
     for n in range(2, 11):
-        target = no_isolated_ones_set(n).words
+        target = FAMILIES["no-isolated-ones"](n).words
         for w in all_words(n):
             if w[0] == "0" and sliding_g_map(w, G_STAR_00) not in target:
                 failures.append((n, w, sliding_g_map(w, G_STAR_00)))
@@ -208,7 +206,7 @@ def test_criterion_6a_star00_map_lands_in_no_isolated_ones():
 def test_criterion_6b_star01_map_lands_in_fibonacci_set():
     ok = True
     for n in range(1, 11):
-        fib = fibonacci_set(n).words
+        fib = FAMILIES["fibonacci"](n).words
         for w in all_words(n):
             ok &= sliding_g_map(w, G_STAR_01) in fib
     report("6b (star-01 map lands in Fibonacci set)", ok, "all words n<=10")
@@ -270,14 +268,14 @@ def test_criterion_9_counting_and_convergence():
     # exact recurrences to n = 80
     a = [ministring_count(TRIBONACCI_SET, n) for n in range(0, 81)]
     ok &= all(a[n] == a[n - 1] + a[n - 2] + a[n - 3] for n in range(3, 81))
-    c = [odd_run_count(n, True) for n in range(0, 81)]
+    c = [FAMILY_COUNTS["oddrun"](n) for n in range(0, 81)]
     ok &= all(c[n] == c[n - 1] + sum(c[n - 2 * k]
                                      for k in range(1, n // 2 + 1))
               for n in range(1, 81))
-    g = [no_isolated_ones_count(n) for n in range(0, 81)]
+    g = [FAMILY_COUNTS["no-isolated-ones"](n) for n in range(0, 81)]
     ok &= all(g[n] == g[n - 1] + sum(g[n - l] for l in range(3, n + 1))
               for n in range(1, 81))
-    f = [fibonacci_count(n) for n in range(0, 81)]
+    f = [FAMILY_COUNTS["fibonacci"](n) for n in range(0, 81)]
     ok &= all(f[n] == f[n - 1] + f[n - 2] for n in range(2, 81))
     ok &= max(a[80], c[80], g[80], f[80]) > 0
     # ratio rates at n = 64 vs analytic roots
@@ -301,6 +299,5 @@ def test_constructions_verify_against_their_channels():
         cls = largest_block_class(ministring_code(TRIBONACCI_SET, n),
                                   TRIBONACCI_SET, "011")
         assert verify_code(cls, TRIANGLE_F).passed
-    from zecap.construct import odd_run_code
     for n in range(2, 13):
-        assert verify_code(odd_run_code(n, True), TRIANGLE_G).passed
+        assert verify_code(FAMILIES["oddrun"](n), TRIANGLE_G).passed

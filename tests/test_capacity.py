@@ -21,6 +21,7 @@ from zecap.capacity import (
 )
 from zecap.construct import (
     FAMILY_COUNTS,
+    _FAMILY_SETS,
 )
 
 GOLDEN_RATE = math.log2((1 + math.sqrt(5)) / 2)
@@ -106,11 +107,28 @@ class TestPerronGrowth:
     def test_acyclic_is_zero(self):
         assert perron_growth(parse_digraph_spec("0>1", 2)).rate_bits == 0.0
 
+    @pytest.mark.parametrize("spec", ["0>1;1>0;1>2;2>3;3>2",
+                                      "0>1;1>0;2>3;3>2;0>2"])
+    def test_chained_cycles_grow_polynomially(self, spec):
+        # walk counts 13, 23, 43, 83 at n = 10, 20, 40, 80: rate 0
+        v = perron_growth(parse_digraph_spec(spec, 4))
+        assert abs(v.rate_bits) < 1e-12
+        assert v.residual < 1e-12
+
     def test_matches_walk_count_growth(self):
         v = perron_growth(FIBONACCI_DIGRAPH)
         lo, hi = count_walks(FIBONACCI_DIGRAPH, 40), \
             count_walks(FIBONACCI_DIGRAPH, 41)
         assert abs(v.rate_bits - math.log2(hi / lo)) < 1e-9
+
+
+class TestEquationsMatchFamilies:
+    @pytest.mark.parametrize("family", sorted(NAMED_EQUATIONS))
+    @pytest.mark.parametrize("x", [0.3, 0.5, 0.55])
+    def test_value_is_ministring_length_sum(self, family, x):
+        S, _ = _FAMILY_SETS[family]
+        total = sum(x**l for l in S.lengths_up_to(200))
+        assert abs(NAMED_EQUATIONS[family].value(x) - total) < 1e-9
 
 
 class TestEmpiricalRates:

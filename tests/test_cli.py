@@ -105,6 +105,15 @@ class TestConstructCommand:
         assert run_cli("construct", "--family", "nope", "--n", "3")\
             .returncode == 2
 
+    @pytest.mark.parametrize("n", [40, 1000])
+    def test_over_cap_exit_4(self, n):
+        # refused from the exact count, before any word is built
+        proc = run_cli("construct", "--family", "fibonacci", "--n", str(n),
+                       timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "exceeds cap" in proc.stderr
+
     def test_word_file_format(self, tmp_path):
         out = tmp_path / "code.txt"
         run_cli("construct", "--family", "fibonacci", "--n", "3",

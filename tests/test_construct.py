@@ -12,6 +12,8 @@ from zecap.model import (
     parse_channel_spec,
 )
 from zecap.construct import (
+    FAMILIES,
+    FAMILY_COUNTS,
     G_STAR_00,
     G_STAR_01,
     MinistringSet,
@@ -20,18 +22,10 @@ from zecap.construct import (
     ODD_RUN_SET,
     TRIBONACCI_SET,
     decompose,
-    fibonacci_count,
-    fibonacci_set,
     largest_block_class,
     ministring_code,
     ministring_count,
-    no_isolated_ones_count,
-    no_isolated_ones_set,
-    no_run3_count,
-    no_run3_set,
     normalize_no111,
-    odd_run_code,
-    odd_run_count,
     postfix_free,
     shorten_even_runs,
     sliding_g_map,
@@ -126,25 +120,26 @@ class TestLargestBlockClass:
 
 class TestNoRun3:
     def test_n3(self):
-        code = no_run3_set(3)
+        code = FAMILIES["no111"](3)
         assert len(code) == 7 and "111" not in code.words
 
     def test_n1(self):
-        assert no_run3_set(1).words == {"0", "1"}
+        assert FAMILIES["no111"](1).words == {"0", "1"}
 
     def test_n4(self):
-        assert len(no_run3_set(4)) == 13
+        assert len(FAMILIES["no111"](4)) == 13
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_matches_enumeration(self, n):
-        assert no_run3_count(n) == len(no_run3_set(n))
+        assert FAMILY_COUNTS["no111"](n) == len(FAMILIES["no111"](n))
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_prefix_identity(self, n):
         # strings beginning 1 or 11 reduce to shorter ministring codes
-        assert no_run3_count(n) == (ministring_count(TRIBONACCI_SET, n)
-                                    + ministring_count(TRIBONACCI_SET, n - 1)
-                                    + ministring_count(TRIBONACCI_SET, n - 2))
+        assert FAMILY_COUNTS["no111"](n) == (
+            ministring_count(TRIBONACCI_SET, n)
+            + ministring_count(TRIBONACCI_SET, n - 1)
+            + ministring_count(TRIBONACCI_SET, n - 2))
 
 
 class TestNormalizeNo111:
@@ -177,30 +172,34 @@ class TestNormalizeNo111:
 
 class TestOddRun:
     def test_n4_leading_zero(self):
-        assert odd_run_code(4, True).words == \
+        assert FAMILIES["oddrun"](4).words == \
             {"0000", "0001", "0010", "0100", "0101", "0111"}
 
     def test_n1_any_first_bit(self):
-        assert odd_run_code(1, False).words == {"0", "1"}
+        assert ministring_code(ODD_RUN_SET, 1, leading_zero=False).words \
+            == {"0", "1"}
 
     def test_n3_leading_zero(self):
-        assert odd_run_code(3, True).words == {"000", "001", "010"}
+        assert FAMILIES["oddrun"](3).words == {"000", "001", "010"}
 
     def test_subset_relation(self):
-        assert odd_run_code(5, True).words < odd_run_code(5, False).words
+        assert FAMILIES["oddrun"](5).words < \
+            ministring_code(ODD_RUN_SET, 5, leading_zero=False).words
 
     @pytest.mark.parametrize("leading", [True, False])
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_matches_enumeration(self, n, leading):
-        assert odd_run_count(n, leading) == len(odd_run_code(n, leading))
+        assert ministring_count(ODD_RUN_SET, n, leading_zero=leading) == \
+            len(ministring_code(ODD_RUN_SET, n, leading_zero=leading))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_code_is_distinguishable_for_g(self, n):
-        assert verify_code(odd_run_code(n, True), TRIANGLE_G).passed
+        assert verify_code(FAMILIES["oddrun"](n), TRIANGLE_G).passed
 
     @pytest.mark.parametrize("n", range(10, 25))
     def test_b_less_than_3c(self, n):
-        assert odd_run_count(n, False) < 3 * odd_run_count(n, True)
+        assert ministring_count(ODD_RUN_SET, n, leading_zero=False) < \
+            3 * ministring_count(ODD_RUN_SET, n)
 
 
 class TestShortenEvenRuns:
@@ -214,7 +213,7 @@ class TestShortenEvenRuns:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_maps_into_odd_run_set(self, n):
-        target = odd_run_code(n, False).words
+        target = ministring_code(ODD_RUN_SET, n, leading_zero=False).words
         for w in all_words(n):
             assert shorten_even_runs(w) in target
 
@@ -240,7 +239,7 @@ class TestSlidingGMap:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_star01_lands_in_fibonacci_set(self, n):
-        fib = fibonacci_set(n).words
+        fib = FAMILIES["fibonacci"](n).words
         for w in all_words(n):
             assert sliding_g_map(w, G_STAR_01) in fib
 
@@ -250,7 +249,7 @@ class TestSlidingGMap:
         # except possibly a lone 1 in the very last position (001 -> 001 is
         # a fixed point); inputs not ending in "001" land in the set exactly
         from zecap.construct import _runs_of_ones
-        target = no_isolated_ones_set(n).words
+        target = FAMILIES["no-isolated-ones"](n).words
         for w in all_words(n):
             if w[0] != "0":
                 continue
@@ -266,39 +265,82 @@ class TestSlidingGMap:
 
 class TestNoIsolatedOnes:
     def test_n3(self):
-        assert no_isolated_ones_set(3).words == {"000", "011"}
+        assert FAMILIES["no-isolated-ones"](3).words == {"000", "011"}
 
     def test_n1(self):
-        assert no_isolated_ones_set(1).words == {"0"}
+        assert FAMILIES["no-isolated-ones"](1).words == {"0"}
 
     def test_n4(self):
-        assert no_isolated_ones_set(4).words == \
+        assert FAMILIES["no-isolated-ones"](4).words == \
             {"0000", "0011", "0110", "0111"}
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_matches_enumeration(self, n):
-        assert no_isolated_ones_count(n) == len(no_isolated_ones_set(n))
+        assert FAMILY_COUNTS["no-isolated-ones"](n) == \
+            len(FAMILIES["no-isolated-ones"](n))
 
 
 class TestFibonacciSet:
     def test_n2(self):
-        assert fibonacci_set(2).words == {"00", "01", "10"}
+        assert FAMILIES["fibonacci"](2).words == {"00", "01", "10"}
 
     def test_n3_size(self):
-        assert len(fibonacci_set(3)) == 5
+        assert len(FAMILIES["fibonacci"](3)) == 5
 
     def test_n1(self):
-        assert fibonacci_set(1).words == {"0", "1"}
+        assert FAMILIES["fibonacci"](1).words == {"0", "1"}
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_count_matches_enumeration(self, n):
-        assert fibonacci_count(n) == len(fibonacci_set(n))
+        assert FAMILY_COUNTS["fibonacci"](n) == len(FAMILIES["fibonacci"](n))
+
+
+def _brute_force(n, member):
+    return {w for w in (format(v, f"0{n}b") for v in range(2**n))
+            if member(w)}
+
+
+def _one_runs(w):
+    return [len(run) for run in w.split("0") if run]
+
+
+def _odd_runs(w):
+    return all(r % 2 for r in _one_runs(w))
+
+
+# each family by its defining property, checked on all 2^n words
+FAMILY_ORACLES = {
+    "ministring-tribonacci": lambda w: w[0] == "0" and "111" not in w,
+    "oddrun": lambda w: w[0] == "0" and _odd_runs(w),
+    "no111": lambda w: "111" not in w,
+    "no-isolated-ones":
+        lambda w: w[0] == "0" and all(r >= 2 for r in _one_runs(w)),
+    "fibonacci": lambda w: "11" not in w,
+}
+
+
+class TestFamilyOracle:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_family_matches_brute_force(self, n, family):
+        expected = _brute_force(n, FAMILY_ORACLES[family])
+        assert FAMILIES[family](n).words == expected
+        assert FAMILY_COUNTS[family](n) == len(expected)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_odd_run_b_n_matches_brute_force(self, n):
+        # B_n of the odd-run converse: every 1-run odd, any first bit
+        expected = _brute_force(n, _odd_runs)
+        assert ministring_code(ODD_RUN_SET, n, leading_zero=False).words \
+            == expected
+        assert ministring_count(ODD_RUN_SET, n, leading_zero=False) \
+            == len(expected)
 
 
 class TestVerifyCode:
     def test_oddrun_pass(self):
         g = parse_channel_spec("00-01;00-11;01-11")
-        assert verify_code(odd_run_code(3, True), g).passed
+        assert verify_code(FAMILIES["oddrun"](3), g).passed
 
     def test_single_word_pass(self):
         assert verify_code(Code(3, {"011"}), TRIANGLE_F).passed
@@ -323,7 +365,7 @@ class TestCountingIdentitiesLargeN:
         assert a[79] > 2**64  # exact integers beyond machine width
 
     def test_oddrun_recurrence_to_80(self):
-        c = [1] + [odd_run_count(n, True) for n in range(1, 81)]
+        c = [1] + [FAMILY_COUNTS["oddrun"](n) for n in range(1, 81)]
         for n in range(2, 81):
             assert c[n] == c[n - 1] + sum(c[n - 2 * k]
                                           for k in range(1, n // 2 + 1))
