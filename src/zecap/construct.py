@@ -153,17 +153,28 @@ def ministring_count(S: MinistringSet, n: int,
     """|ministring_code(S, n, leading_zero)| by the exact length recurrence
     a_m = sum over ministring lengths l of a_{m-l}, a_0 = 1; without the
     leading zero it is the sum of a_{n+1-l} over the members of length l
-    that start with 0."""
+    that start with 0.  The tail's part of a_m is T_m = sum over tail
+    lengths L of a_{m-L} = a_{m-start} + T_{m-step}, and only a window of
+    a and T is kept, so no member string and no old count is stored."""
     if n < 0:
         raise SpecError("n must be >= 0")
-    lengths = S.lengths_up_to(n)
-    a = [1] + [0] * n
-    for m in range(1, n + 1):
-        a[m] = sum(a[m - l] for l in lengths if l <= m)
+    top = n if leading_zero else n + 1
+    start, step = S.tail or (top + 1, 1)    # no tail: T_m = 0 up to top
+    # a finite member that is also a tail member counts once
+    finite = {s for s in S.strings
+              if not (S.tail and s == "0" + "1" * (len(s) - 1)
+                      and len(s) >= start and (len(s) - start) % step == 0)}
+    width = max([len(s) for s in finite] + [start if S.tail else 0]) + 1
+    a, T = {0: 1}, {0: 0}
+    for m in range(1, top + 1):
+        T[m] = a[m - start] + T.get(m - step, 0) if m >= start else 0
+        a[m] = sum(a[m - len(s)] for s in finite if len(s) <= m) + T[m]
+        a.pop(m - width, None)
+        T.pop(m - step, None)
     if leading_zero:
         return a[n]
-    return sum(a[n + 1 - len(s)] for s in S.members_up_to(n + 1)
-               if s[0] == "0")
+    return T[n + 1] + sum(a[n + 1 - len(s)] for s in finite
+                          if s[0] == "0" and len(s) <= n + 1)
 
 
 def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:

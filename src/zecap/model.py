@@ -197,10 +197,15 @@ def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
 
     A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
     is the |A| x |B| boolean matrix of `any_i arc[A[:, i], B[:, i]]`, built
-    one coordinate at a time so that no |A| x |B| x L array exists."""
+    one coordinate at a time so that no |A| x |B| x L array exists: each
+    coordinate is a row gather of the k x |B| table arc[:, B[:, i]], taken
+    a bounded block of rows at a time."""
     out = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
+    step = max(1, 2**20 // max(B.shape[0], 1))
     for i in range(A.shape[1]):
-        out |= arc[A[:, i, None], B[None, :, i]]
+        table = arc[:, B[:, i]]
+        for r0 in range(0, A.shape[0], step):
+            out[r0:r0 + step] |= table[A[r0:r0 + step, i]]
     return out
 
 

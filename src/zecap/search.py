@@ -9,11 +9,15 @@ M(G,n) takes G's edge matrix over the pair codes of all 2^n words,
 AND of the loop-free D power with its transpose.  One pipeline solves them
 all: dominance reduction, packing of rows into Python-int bitsets, a greedy
 seed, and a branch-and-bound maximum-clique search with greedy-coloring
-upper bounds.  Results are deterministic: vertices are always processed in
-a fixed order and, in deterministic mode, the returned witness is the
-lexicographically smallest maximum clique among the vertices the reduction
-keeps.  That need not be the smallest of the whole graph: for channel 00-11
-at n=3 the witness is {000, 111}, while {000, 011} is smaller.
+upper bounds.  The reduction works on rows packed into uint64 words, in
+rounds that retest only the non-adjacent pairs still alive, so its cost
+follows the non-edges rather than N^2.  Results are deterministic:
+vertices are always processed in a fixed order and, in deterministic mode,
+the returned witness is the lexicographically smallest maximum clique
+among the vertices the reduction keeps; when they form a clique, that is
+all of them and no lex-min search runs.  That need not be the smallest of
+the whole graph: for channel 00-11 at n=3 the witness is {000, 111},
+while {000, 011} is smaller.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .model import (
     ResourceCapExceeded,
     SpecError,
     all_words,
-    distinguishable,
     enumerate_walks,
     pair_codes,
     power_adjacency,
@@ -192,7 +195,8 @@ def max_clique_bitset(adj: list[int], n: int,
         kern.best, kern.best_set = 1, [0]
     witness = kern.best_set
     nodes = [kern.nodes]
-    if lex_min:
+    if lex_min and kern.best < n:
+        # a clique of all n vertices is the only maximum clique
         witness = _lex_min_witness(adj, n, kern.best, nodes)
     return SearchResult(kern.best, sorted(witness), nodes[0],
                         time.perf_counter() - t0)
@@ -203,30 +207,76 @@ def _rows_to_bitsets(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
+             ptr: np.ndarray, todo: np.ndarray) -> None:
+    """Move ptr[i], for each i in todo, to the first block at or after it
+    where row s[i] has a bit that row t[i] lacks, or to the block count
+    when row s[i] is a subset of row t[i].  Pairs go 2^16 at a time."""
+    for c0 in range(0, len(todo), 2**16):
+        live = todo[c0:c0 + 2**16]
+        while len(live):
+            p = ptr[live]
+            hit = (blocks[s[live], p] & ~blocks[t[live], p]).any(axis=1)
+            live = live[~hit]
+            ptr[live] += 1
+            live = live[ptr[live] < blocks.shape[1]]
+
+
 def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
-    """Keep-mask after iterated removal of dominated vertices.
+    """Keep-mask after iterated removal of dominated vertices, for a
+    symmetric loop-free boolean adjacency matrix.
 
     u is dominated by v when they are non-adjacent and N(u) is a subset of
     N(v); any clique through u then maps to one through v, so u can be
-    dropped without changing the clique number.  Twins (equal neighborhoods)
-    keep their smallest index for determinism."""
+    dropped without changing the clique number.  Each round removes every
+    vertex with a strict dominator or a twin (equal neighborhood) of
+    smaller index, until a round removes nothing.
+
+    Rows are packed once into blocks of four uint64 words.  Twins stay
+    twins, so twin classes are cut to their smallest index up front and
+    the other non-adjacent pairs are listed once.  Each direction of a pair
+    keeps a pointer to its first block where N(u) has a vertex N(v) lacks;
+    rows only lose bits, so a round resumes there, where deg u <= deg v,
+    then clears the removed vertices' bits in place, lowers the degrees
+    and drops their pairs."""
     n = adj.shape[0]
-    keep = np.ones(n, dtype=bool)
-    while True:
-        idx = np.flatnonzero(keep)
-        a = adj[np.ix_(idx, idx)]
-        f = a.astype(np.float32)
-        common = (f @ f.T).astype(np.int64)
-        deg = a.sum(axis=1)
-        dom = (~a) & (common == deg[:, None])     # dom[u,v]: v covers u
-        np.fill_diagonal(dom, False)
-        strict = dom & ~dom.T
-        twins = dom & dom.T
-        lower = np.tril(np.ones_like(dom), k=-1)  # twin with smaller index
-        remove = strict.any(axis=1) | (twins & lower).any(axis=1)
-        if not remove.any():
-            return keep
-        keep[idx[remove]] = False
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 32)))
+    blocks = rows.view("<u8").reshape(n, rows.shape[1] // 32, 4)
+    keep = np.zeros(n, dtype=bool)
+    keep[np.unique(rows, axis=0, return_index=True)[1]] = True
+    rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
+    deg = np.zeros(n, dtype=np.int64)
+    step = max(1, 2**20 // max(n, 1))
+    pairs = [np.zeros((0, 2), dtype=np.int32)]
+    for i0 in range(0, n, step):
+        # degrees and kept non-adjacent pairs (i, j), i < j, of a bounded
+        # block of rows i
+        i = np.arange(i0, min(i0 + step, n))[:, None]
+        deg[i0:i0 + step] = (adj[i0:i0 + step] & keep).sum(axis=1)
+        block = ~adj[i0:i0 + step] & keep & keep[i] & (np.arange(n) > i)
+        pairs.append((np.argwhere(block) + [i0, 0]).astype(np.int32))
+    u, v = np.concatenate(pairs).T
+    # ptr[:len(u)] tests N(u) within N(v), ptr[len(u):] N(v) within N(u)
+    ptr = np.zeros(2 * len(u), dtype=np.intp)
+    while len(u):
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        todo = np.flatnonzero(deg[src] <= deg[dst])
+        _advance(blocks, src, dst, ptr, todo)
+        sub_u, sub_v = (ptr == blocks.shape[1]).reshape(2, -1)
+        # u goes when v strictly covers it; v goes when u covers it,
+        # strictly or as a twin, since v > u
+        gone = np.unique(np.concatenate([u[sub_u & ~sub_v], v[sub_v]]))
+        if not len(gone):
+            break
+        keep[gone] = False
+        touched = np.unique(gone >> 3)
+        rows[:, touched] &= np.packbits(keep, bitorder="little")[touched]
+        deg -= sum(adj[gone[g:g + step]].sum(axis=0)
+                   for g in range(0, len(gone), step))
+        alive = keep[u] & keep[v]
+        u, v, ptr = u[alive], v[alive], ptr[np.tile(alive, 2)]
+    return keep
 
 
 def _solve_clique(mat: np.ndarray, lex_min: bool, t0: float
@@ -300,36 +350,6 @@ def exact_M(G: ChannelGraph, n: int, *, cap: int = DEFAULT_EXACT_M_CAP,
     res = _solve_clique(distinguishability_matrix(G, n), lex_min, t0)
     res.witness = [format(v, f"0{n}b") for v in res.witness]
     return res
-
-
-def naive_exact_M(G: ChannelGraph, n: int) -> int:
-    """Independent oracle: plain recursive maximum-clique search with only
-    the trivial |R|+|P| bound, no coloring, no ordering, no greedy seed."""
-    words = list(all_words(n))
-    adj = [0] * len(words)
-    for i, x in enumerate(words):
-        for j in range(i + 1, len(words)):
-            if distinguishable(x, words[j], G):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best = [0]
-
-    def grow(size: int, P: int) -> None:
-        if P == 0:
-            if size > best[0]:
-                best[0] = size
-            return
-        while P:
-            if size + P.bit_count() <= best[0]:
-                return
-            v = (P & -P).bit_length() - 1
-            grow(size + 1, P & adj[v])
-            P &= ~(1 << v)
-        if size > best[0]:
-            best[0] = size
-
-    grow(0, (1 << len(words)) - 1)
-    return max(best[0], 1)
 
 
 def _walk_universe(P: Digraph, m: int, cap: int) -> np.ndarray:

@@ -114,6 +114,14 @@ class TestConstructCommand:
         assert proc.stdout == ""
         assert "exceeds cap" in proc.stderr
 
+    def test_huge_n_exit_4(self):
+        # the count before the cap check keeps a window of the recurrence
+        proc = run_cli("construct", "--family", "oddrun", "--n", "100000",
+                       timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "exceeds cap" in proc.stderr
+
     def test_word_file_format(self, tmp_path):
         out = tmp_path / "code.txt"
         run_cli("construct", "--family", "fibonacci", "--n", "3",

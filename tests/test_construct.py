@@ -369,3 +369,45 @@ class TestCountingIdentitiesLargeN:
         for n in range(2, 81):
             assert c[n] == c[n - 1] + sum(c[n - 2 * k]
                                           for k in range(1, n // 2 + 1))
+
+
+def _list_count(S, n, leading_zero=True):
+    """Reference counter: the same recurrence over the full list of counts
+    and the member strings themselves."""
+    lengths = S.lengths_up_to(n)
+    a = [1] + [0] * n
+    for m in range(1, n + 1):
+        a[m] = sum(a[m - l] for l in lengths if l <= m)
+    if leading_zero:
+        return a[n]
+    return sum(a[n + 1 - len(s)] for s in S.members_up_to(n + 1)
+               if s[0] == "0")
+
+
+class TestWindowedCount:
+    # the family sets, and tails that step by more than one, start at
+    # length 1 or 2, or repeat a finite member ("011" is the tail's first)
+    SETS = [TRIBONACCI_SET, ODD_RUN_SET, NO_ISOLATED_ONES_SET,
+            MinistringSet(("0", "01")),
+            MinistringSet(("0", "011", "01111"), tail=(3, 2)),
+            MinistringSet(("1", "0111"), tail=(2, 3)),
+            MinistringSet(("01",), tail=(1, 1))]
+
+    @pytest.mark.parametrize("leading_zero", [True, False])
+    @pytest.mark.parametrize("index", range(len(SETS)))
+    def test_matches_list_recurrence_to_199(self, index, leading_zero):
+        S = self.SETS[index]
+        for n in range(200):
+            assert ministring_count(S, n, leading_zero) == \
+                _list_count(S, n, leading_zero)
+
+    def test_family_counts_to_199(self):
+        for family, count in FAMILY_COUNTS.items():
+            S, leading_zero = {
+                "ministring-tribonacci": (TRIBONACCI_SET, True),
+                "oddrun": (ODD_RUN_SET, True),
+                "no111": (TRIBONACCI_SET, False),
+                "no-isolated-ones": (NO_ISOLATED_ONES_SET, True),
+                "fibonacci": (MinistringSet(("0", "01")), False)}[family]
+            assert [count(n) for n in range(200)] == \
+                [_list_count(S, n, leading_zero) for n in range(200)]

@@ -36,6 +36,12 @@ def golden_argvs() -> list[list[str]]:
     for channel in ("F", "G", "L", "Q", "00-11"):
         for n in range(2, 9):
             argvs.append(["exact", "--channel", channel, "--n", str(n)])
+    # the many-rounds orbit of 00-01;00-10;01-11 (bit complement and
+    # reversal images) and 00-11;01-10, whose reduction keeps every vertex
+    for channel in ("00-01;00-10;01-11", "00-10;01-11;10-11",
+                    "00-01;00-10;10-11", "00-01;01-11;10-11", "00-11;01-10"):
+        for n in range(2, 10):
+            argvs.append(["exact", "--channel", channel, "--n", str(n)])
     argvs.append(["exact", "--channel", "G", "--n", "8",
                   "--no-deterministic"])
     for n in range(1, 9):

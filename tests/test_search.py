@@ -1,11 +1,14 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zecap.model import (
     FIBONACCI_DIGRAPH,
     NAMED_CHANNELS,
+    PAIR_LETTERS,
     ResourceCapExceeded,
     SINGLE_ARC_DIGRAPH,
     TRIANGLE_F,
@@ -18,16 +21,27 @@ from zecap.model import (
     parse_channel_spec,
 )
 from zecap.search import (
+    distinguishability_matrix,
+    dominated_vertex_mask,
     exact_M,
     greedy_code,
     max_clique,
-    naive_exact_M,
+    max_clique_bitset,
     omega_power_markov,
     omega_s,
 )
 
 EDGELESS = parse_channel_spec("")
 SINGLE_EDGE_0011 = parse_channel_spec("00-11")
+# every channel: each subset of the six edges on the pair letters
+ALL_CHANNELS = [
+    parse_channel_spec(";".join(f"{a}-{b}" for k, (a, b) in enumerate(
+        itertools.combinations(PAIR_LETTERS, 2)) if mask >> k & 1))
+    for mask in range(64)]
+# 00-01;00-10;01-11 and its bit-complement and reversal images: dominance
+# removes two vertices a round for 2^(n-2) rounds
+MANY_ROUNDS_ORBIT = ("00-01;00-10;01-11", "00-10;01-11;10-11",
+                     "00-01;00-10;10-11", "00-01;01-11;10-11")
 
 
 def subset_oracle_M(G, n):
@@ -44,6 +58,36 @@ def subset_oracle_M(G, n):
                 best = r
                 break
     return best
+
+
+def naive_exact_M(G, n):
+    """Independent oracle: plain recursive maximum-clique search with only
+    the trivial |R|+|P| bound, no coloring, no ordering, no greedy seed."""
+    words = list(all_words(n))
+    adj = [0] * len(words)
+    for i, x in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if distinguishable(x, words[j], G):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    best = [0]
+
+    def grow(size, P):
+        if P == 0:
+            if size > best[0]:
+                best[0] = size
+            return
+        while P:
+            if size + P.bit_count() <= best[0]:
+                return
+            v = (P & -P).bit_length() - 1
+            grow(size + 1, P & adj[v])
+            P &= ~(1 << v)
+        if size > best[0]:
+            best[0] = size
+
+    grow(0, (1 << len(words)) - 1)
+    return max(best[0], 1)
 
 
 def dilworth_max_antichain(elements, leq):
@@ -91,6 +135,89 @@ class TestMaxClique:
         res = max_clique(list(range(4)),
                          lambda a, b: tuple(sorted((a, b))) in edges)
         assert res.witness == [0, 1]
+
+
+def reference_dominated_vertex_mask(adj):
+    """The dominance rounds by dense matrix products: each round counts
+    |N(u) & N(v)| for every pair of the surviving subgraph, then removes
+    every vertex with a strict dominator or a twin of smaller index."""
+    keep = np.ones(adj.shape[0], dtype=bool)
+    while True:
+        idx = np.flatnonzero(keep)
+        a = adj[np.ix_(idx, idx)]
+        f = a.astype(np.float32)
+        common = (f @ f.T).astype(np.int64)
+        dom = (~a) & (common == a.sum(axis=1)[:, None])  # v covers u
+        np.fill_diagonal(dom, False)
+        twins = dom & dom.T
+        remove = (dom & ~dom.T).any(axis=1) | np.tril(twins, k=-1).any(axis=1)
+        if not remove.any():
+            return keep
+        keep[idx[remove]] = False
+
+
+def random_graph(size, kind, density, seed):
+    """A symmetric loop-free boolean adjacency matrix.  "twins" blows up a
+    random graph on about size/8 vertices, so copies of a vertex are twins."""
+    rng = np.random.default_rng(seed)
+    if kind == "twins":
+        k = max(1, size // 8)
+        base = np.triu(rng.random((k, k)) < density, 1)
+        cls = rng.integers(0, k, size)
+        adj = (base | base.T)[np.ix_(cls, cls)]
+    else:
+        p = {"empty": 0.0, "complete": 1.0}.get(kind, density)
+        upper = np.triu(rng.random((size, size)) < p, 1)
+        adj = upper | upper.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestDominatedVertexMask:
+    @settings(max_examples=80, deadline=None)
+    @example(size=65, kind="empty", density=0.0, seed=0)
+    @example(size=65, kind="complete", density=0.0, seed=0)
+    @example(size=130, kind="twins", density=0.5, seed=0)
+    @given(size=st.sampled_from([0, 1, 2, 63, 64, 65, 130]),
+           kind=st.sampled_from(["random", "empty", "complete", "twins"]),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_graphs(self, size, kind, density,
+                                                seed):
+        adj = random_graph(size, kind, density, seed)
+        np.testing.assert_array_equal(dominated_vertex_mask(adj),
+                                      reference_dominated_vertex_mask(adj))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_on_every_channel(self, n):
+        for G in ALL_CHANNELS:
+            adj = distinguishability_matrix(G, n)
+            np.testing.assert_array_equal(
+                dominated_vertex_mask(adj),
+                reference_dominated_vertex_mask(adj), err_msg=G.to_spec())
+
+
+def test_clique_witness_skips_no_nodes():
+    # on a clique of every vertex the lex-min search is skipped; witness
+    # and node count are those of the search without it
+    adj = [((1 << 6) - 1) & ~(1 << v) for v in range(6)]
+    plain = max_clique_bitset(adj, 6, lex_min=False)
+    res = max_clique_bitset(adj, 6)
+    assert res.witness == list(range(6)) == plain.witness
+    assert res.nodes_explored == plain.nodes_explored
+
+
+class TestManyRoundsOrbit:
+    @pytest.mark.parametrize("spec", MANY_ROUNDS_ORBIT)
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_half_the_words(self, spec, n):
+        G = parse_channel_spec(spec)
+        res = exact_M(G, n)
+        assert res.size == 2 ** (n - 1) == len(res.witness)
+        w = [int(x, 2) for x in res.witness]
+        adj = distinguishability_matrix(G, n)[np.ix_(w, w)]
+        assert (adj | np.eye(len(w), dtype=bool)).all()
+        if n <= 5:
+            assert naive_exact_M(G, n) == res.size
 
 
 class TestExactM:
