@@ -68,23 +68,6 @@ def resolve_digraph(spec: str, k: int):
     return parse_digraph_spec(spec, k)
 
 
-def run_record(command: str, inputs: dict, outputs: dict,
-               elapsed_ms: int) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "elapsed_ms": elapsed_ms,
-    }
-
-
-def emit(record: dict, pretty: bool) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    if pretty:
-        sys.stderr.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
 def parse_lengths(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -119,44 +102,30 @@ def write_word_file(path: str, code: Code) -> None:
             fh.write(w + "\n")
 
 
-def cmd_capacity(args) -> int:
-    t0 = time.perf_counter()
+# Each command returns the echo of its inputs, its outputs and its exit
+# code; `main` times the call and writes the one record.
+
+def cmd_capacity(args) -> tuple[dict, dict, int]:
     eq = CharacteristicEquation(parse_lengths(args.lengths),
                                 parse_tail(args.tail))
     value = solve_characteristic(eq, tol=args.tol)
-    record = run_record(
-        "capacity",
-        {"lengths": list(eq.head), "tail": list(eq.tail) if eq.tail else None,
-         "tol": args.tol},
-        value.to_record(),
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK
+    return ({"lengths": list(eq.head),
+             "tail": list(eq.tail) if eq.tail else None, "tol": args.tol},
+            value.to_record(), EXIT_OK)
 
 
-def cmd_exact(args) -> int:
-    t0 = time.perf_counter()
+def cmd_exact(args) -> tuple[dict, dict, int]:
     G = resolve_channel(args.channel)
     res = exact_M(G, args.n, lex_min=args.deterministic)
     outputs = res.to_record(f"exact_M({G.name or G.to_spec()})", args.n)
-    outputs["deterministic"] = args.deterministic
     if args.out:
         write_word_file(args.out, Code(args.n, set(res.witness)))
         outputs["witness_path"] = args.out
-    record = run_record(
-        "exact",
-        {"channel": args.channel, "n": args.n,
-         "deterministic": args.deterministic},
-        outputs,
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK
+    return ({"channel": args.channel, "n": args.n,
+             "deterministic": args.deterministic}, outputs, EXIT_OK)
 
 
-def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
+def cmd_construct(args) -> tuple[dict, dict, int]:
     if args.family not in FAMILIES:
         raise SpecError(f"unknown family {args.family!r}; choose from "
                         f"{sorted(FAMILIES)}")
@@ -167,34 +136,20 @@ def cmd_construct(args) -> int:
         outputs["path"] = args.out
     else:
         outputs["words"] = code.sorted_words()
-    record = run_record(
-        "construct",
-        {"family": args.family, "n": args.n, "out": args.out},
-        outputs,
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK
+    return ({"family": args.family, "n": args.n, "out": args.out}, outputs,
+            EXIT_OK)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, dict, int]:
     code = read_word_file(args.code)
     G = resolve_channel(args.channel)
     report = verify_code(code, G)
-    record = run_record(
-        "verify",
-        {"code": args.code, "channel": args.channel, "n": code.n,
-         "words": len(code)},
-        report.to_record(),
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return ({"code": args.code, "channel": args.channel, "n": code.n,
+             "words": len(code)}, report.to_record(),
+            EXIT_OK if report.passed else EXIT_VERIFY_FAILED)
 
 
-def cmd_sperner(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sperner(args) -> tuple[dict, dict, int]:
     D = resolve_digraph(args.digraph, args.k)
     P = resolve_digraph(args.type, args.k)
     res = omega_s(D, P, args.n, lex_min=args.deterministic)
@@ -203,15 +158,9 @@ def cmd_sperner(args) -> int:
     # an empty walk set has no code, hence no rate
     outputs["rate_bits"] = (math.log2(res.size) / args.n if res.size
                             else None)
-    record = run_record(
-        "sperner",
-        {"digraph": args.digraph, "type": args.type, "k": args.k,
-         "n": args.n, "deterministic": args.deterministic},
-        outputs,
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK
+    return ({"digraph": args.digraph, "type": args.type, "k": args.k,
+             "n": args.n, "deterministic": args.deterministic}, outputs,
+            EXIT_OK)
 
 
 REPORT_COLUMNS = ["theorem", "n", "lower_bound", "exact", "upper_bound",
@@ -259,8 +208,7 @@ def report_rows(n_max: int) -> list[dict]:
     return rows
 
 
-def cmd_report(args) -> int:
-    t0 = time.perf_counter()
+def cmd_report(args) -> tuple[dict, dict, int]:
     rows = report_rows(args.n_max)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS)
@@ -270,15 +218,9 @@ def cmd_report(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(csv_text)
-    record = run_record(
-        "report",
-        {"n_max": args.n_max, "out": args.out},
-        {"rows": len(rows), "path": args.out or None,
-         "csv": None if args.out else csv_text},
-        int((time.perf_counter() - t0) * 1000),
-    )
-    emit(record, args.pretty)
-    return EXIT_OK
+    return ({"n_max": args.n_max, "out": args.out},
+            {"rows": len(rows), "path": args.out or None,
+             "csv": None if args.out else csv_text}, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,8 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs, code = args.func(args)
     except (SpecError, FileNotFoundError, NoRootError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -354,6 +297,13 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
+    record = {"command": args.subcommand, "inputs": inputs,
+              "outputs": outputs, "tool_version": __version__,
+              "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    if args.pretty:
+        sys.stderr.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ import numpy as np
 
 PAIR_LETTERS = ("00", "01", "10", "11")
 
-DEFAULT_WALK_CAP = 2**24
+# the one vertex cap of every search: walk sets, clique universes, and so
+# exact_M's n <= 14 (2^14 pair-shift walks of length 13)
+MAX_VERTICES = 2**14
 
 
 class SpecError(ValueError):
@@ -209,25 +211,32 @@ def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
     return out
 
 
-def enumerate_walks(P: Digraph, n: int, cap: int = DEFAULT_WALK_CAP
-                    ) -> list[tuple[int, ...]]:
-    """All length-n vertex sequences whose consecutive pairs are arcs of P,
-    in lexicographic order.  Raises ResourceCapExceeded before materializing
-    more than `cap` walks."""
+def check_vertex_cap(count: int, what: str) -> None:
+    """Raise ResourceCapExceeded when a search would hold more than
+    MAX_VERTICES vertices; called before anything of that size exists."""
+    if count > MAX_VERTICES:
+        raise ResourceCapExceeded(
+            f"{what} of {count} vertices exceeds cap {MAX_VERTICES}")
+
+
+def enumerate_walks(P: Digraph, n: int) -> np.ndarray:
+    """V^n(P): every length-n vertex sequence whose consecutive pairs are
+    arcs of P, in lexicographic order, one per row of an array of the
+    narrowest unsigned type that holds P's vertices.  Each layer is counted
+    before it is built, so a walk set over MAX_VERTICES raises
+    ResourceCapExceeded early."""
     if n < 1:
         raise SpecError("walk length must be >= 1")
-    succ = [sorted(b for (a, b) in P.arcs if a == v) for v in range(P.k)]
-    walks: list[tuple[int, ...]] = [(v,) for v in range(P.k)]
+    check_vertex_cap(P.k, "walk set")
+    arc = P.arc_matrix()
+    walks = np.arange(P.k).reshape(P.k, 1)
     for _ in range(n - 1):
-        nxt: list[tuple[int, ...]] = []
-        for w in walks:
-            for v in succ[w[-1]]:
-                nxt.append(w + (v,))
-                if len(nxt) > cap:
-                    raise ResourceCapExceeded(
-                        f"walk universe exceeds cap {cap}")
-        walks = nxt
-    return walks
+        succ = arc[walks[:, -1]]  # row i: the vertices that extend walk i
+        check_vertex_cap(int(succ.sum()), "walk set")
+        rows, last = np.nonzero(succ)
+        walks = np.column_stack([walks[rows], last])
+    # the array lives as long as the N x N search; keep it narrow
+    return walks.astype(np.min_scalar_type(P.k - 1))
 
 
 def count_walks(P: Digraph, n: int) -> int:

@@ -2,22 +2,30 @@
 M(G,n), maximum cliques of power graphs restricted to walk sets, and
 maximum symmetric cliques of digraph powers.
 
-Every adjacency matrix here is one coordinatewise power,
-`model.power_adjacency`, of a small arc matrix over an array of walks:
-M(G,n) takes G's edge matrix over the pair codes of all 2^n words,
-`omega_power_markov` takes it over the walks of P, and `omega_s` takes the
-AND of the loop-free D power with its transpose.  One pipeline solves them
-all: dominance reduction, packing of rows into Python-int bitsets, a greedy
-seed, and a branch-and-bound maximum-clique search with greedy-coloring
-upper bounds.  The reduction works on rows packed into uint64 words, in
-rounds that retest only the non-adjacent pairs still alive, so its cost
-follows the non-edges rather than N^2.  Results are deterministic:
-vertices are always processed in a fixed order and, in deterministic mode,
-the returned witness is the lexicographically smallest maximum clique
-among the vertices the reduction keeps; when they form a clique, that is
-all of them and no lex-min search runs.  That need not be the smallest of
-the whole graph: for channel 00-11 at n=3 the witness is {000, 111},
-while {000, 011} is smaller.
+All three are one problem on one route, `_omega(arc, P, m)`: enumerate the
+walks V^m(P), build `distinguishability_matrix(arc, walks)` (the
+coordinatewise power `model.power_adjacency` of a small arc matrix, ANDed
+with its transpose only when the arc matrix is directed), and solve.
+`exact_M` is G's edge matrix over the pair-shift walks of length n-1, which
+spell the 2^n words in order; `omega_power_markov` is G's edge matrix over
+the walks of P; `omega_s` is the loop-free arc matrix of D.  Every search
+has one vertex cap, `model.MAX_VERTICES`, checked before anything of that
+size is allocated: by `enumerate_walks` on each layer, and by `max_clique`
+(the documented entry point for an explicit universe and pair predicate)
+before its predicate runs.  No function takes a cap of its own.
+
+One pipeline solves them all: dominance reduction, packing of rows into
+Python-int bitsets, a greedy seed, and a branch-and-bound maximum-clique
+search with greedy-coloring upper bounds.  The reduction works on rows
+packed into uint64 words, in rounds that retest only the non-adjacent
+pairs still alive, so its cost follows the non-edges rather than N^2.
+Results are deterministic: vertices are always processed in a fixed order
+and, in deterministic mode, the returned witness is the lexicographically
+smallest maximum clique among the vertices the reduction keeps; when they
+form a clique, that is all of them and no lex-min search runs.  That need
+not be the smallest of the whole graph: for channel 00-11 at n=3 the
+witness is {000, 111}, while {000, 011} is smaller.  The result's
+`deterministic` flag records which mode chose the witness.
 """
 
 from __future__ import annotations
@@ -34,16 +42,14 @@ from .model import (
     ChannelGraph,
     Digraph,
     PAIR_LETTERS,
-    ResourceCapExceeded,
     SpecError,
     all_words,
+    check_vertex_cap,
     enumerate_walks,
     pair_codes,
+    pair_shift_digraph,
     power_adjacency,
 )
-
-DEFAULT_EXACT_M_CAP = 14          # max block length for exact_M
-DEFAULT_UNIVERSE_CAP = 2**20      # max vertex count for generic clique search
 
 
 @dataclass
@@ -52,7 +58,7 @@ class SearchResult:
     witness: list
     nodes_explored: int
     elapsed: float
-    deterministic: bool = True
+    deterministic: bool
 
     def to_record(self, problem: str, n: int) -> dict:
         return {
@@ -181,13 +187,12 @@ def max_clique_bitset(adj: list[int], n: int,
     `seed` is a known clique used as the initial incumbent; `lex_min`
     additionally replaces the witness by the lexicographically smallest
     maximum clique (deterministic mode)."""
-    if n > DEFAULT_UNIVERSE_CAP:
-        raise ResourceCapExceeded(f"universe {n} exceeds cap")
+    check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
         sys.setrecursionlimit(n + 1000)
     t0 = time.perf_counter()
     if n == 0:
-        return SearchResult(0, [], 0, time.perf_counter() - t0)
+        return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
     kern = _CliqueKernel(adj, seed)
     kern.expand([], (1 << n) - 1)
     if kern.best == 0:
@@ -199,7 +204,7 @@ def max_clique_bitset(adj: list[int], n: int,
         # a clique of all n vertices is the only maximum clique
         witness = _lex_min_witness(adj, n, kern.best, nodes)
     return SearchResult(kern.best, sorted(witness), nodes[0],
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, lex_min)
 
 
 def _rows_to_bitsets(mat: np.ndarray) -> list[int]:
@@ -295,13 +300,12 @@ def _solve_clique(mat: np.ndarray, lex_min: bool, t0: float
 
 
 def max_clique(universe: Sequence, predicate: Callable, *,
-               lex_min: bool = True,
-               cap: int = DEFAULT_UNIVERSE_CAP) -> SearchResult:
+               lex_min: bool = True) -> SearchResult:
     """Maximum clique for an explicit vertex universe and a symmetric pair
-    predicate; witness holds universe elements."""
+    predicate; witness holds universe elements.  The universe is checked
+    against the vertex cap before the predicate is called."""
     m = len(universe)
-    if m > cap:
-        raise ResourceCapExceeded(f"universe {m} exceeds cap {cap}")
+    check_vertex_cap(m, "clique universe")
     t0 = time.perf_counter()
     mat = np.zeros((m, m), dtype=bool)
     for i in range(m):
@@ -313,12 +317,17 @@ def max_clique(universe: Sequence, predicate: Callable, *,
     return res
 
 
-def distinguishability_matrix(G: ChannelGraph, n: int) -> np.ndarray:
-    """Boolean adjacency of the distinguishability graph on all 2^n
-    length-n words (word w <-> vertex int(w, 2)): G's power on their pair
-    codes."""
-    codes = pair_codes(list(all_words(n)), n)
-    return power_adjacency(G.arc_matrix(), codes, codes)
+def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
+                              ) -> np.ndarray:
+    """Boolean adjacency of arc's coordinatewise power on an array of
+    walks, one per row: u and v are adjacent when some coordinate has an
+    arc from u to v and some coordinate one from v to u.  For a symmetric
+    arc matrix the power is already symmetric, so only a directed one pays
+    for the AND with the transpose."""
+    mat = power_adjacency(arc, walks, walks)
+    if not np.array_equal(arc, arc.T):
+        mat &= mat.T
+    return mat
 
 
 def greedy_code(G: ChannelGraph, n: int, order: Sequence[str] | None = None
@@ -335,60 +344,54 @@ def greedy_code(G: ChannelGraph, n: int, order: Sequence[str] | None = None
     return Code(n, {words[i] for i in kept}, provenance="greedy")
 
 
-def exact_M(G: ChannelGraph, n: int, *, cap: int = DEFAULT_EXACT_M_CAP,
-            lex_min: bool = True) -> SearchResult:
+def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool
+           ) -> tuple[SearchResult, np.ndarray]:
+    """The one route of every problem here: the maximum clique of
+    `distinguishability_matrix(arc, V^m(P))`.  Returns the result, whose
+    witness holds row indices, and the walk array, in lexicographic order."""
+    t0 = time.perf_counter()
+    walks = enumerate_walks(P, m)
+    res = _solve_clique(distinguishability_matrix(arc, walks), lex_min, t0)
+    return res, walks
+
+
+def exact_M(G: ChannelGraph, n: int, *, lex_min: bool = True
+            ) -> SearchResult:
     """M(G,n): the largest set of length-n words that are pairwise
-    distinguishable for G, with a witness code."""
+    distinguishable for G, with a witness code.  The words are the
+    pair-shift walks of length n-1, so n is capped at 14 by the vertex
+    cap."""
     if n < 1:
         raise SpecError("n must be >= 1")
-    if n > cap:
-        raise ResourceCapExceeded(f"n={n} exceeds exact_M cap {cap}")
-    t0 = time.perf_counter()
     if n == 1:
         # no coordinate pair exists, so no two words are distinguishable
-        return SearchResult(1, ["0"], 0, time.perf_counter() - t0)
-    res = _solve_clique(distinguishability_matrix(G, n), lex_min, t0)
+        return SearchResult(1, ["0"], 0, 0.0, lex_min)
+    res, _ = _omega(G.arc_matrix(), pair_shift_digraph(), n - 1, lex_min)
+    # walk number v spells the word of v in binary
     res.witness = [format(v, f"0{n}b") for v in res.witness]
     return res
 
 
-def _walk_universe(P: Digraph, m: int, cap: int) -> np.ndarray:
-    """V^m(P) in lexicographic order, one walk per row."""
-    walks = enumerate_walks(P, m, cap=cap)
-    if len(walks) > cap:
-        raise ResourceCapExceeded(f"walk universe {len(walks)} exceeds cap")
-    return np.array(walks, dtype=np.intp).reshape(len(walks), m)
-
-
 def omega_power_markov(G: ChannelGraph, P: Digraph, m: int, *,
-                       cap: int = DEFAULT_UNIVERSE_CAP,
                        lex_min: bool = True) -> SearchResult:
     """omega of the graph the m-th power of G induces on the walk set
     V^m(P); P's vertices index the pair alphabet."""
     if P.k != 4:
         raise SpecError("omega_power_markov expects a digraph on the 4 "
                         "pair letters")
-    t0 = time.perf_counter()
-    walks = _walk_universe(P, m, cap)
-    res = _solve_clique(power_adjacency(G.arc_matrix(), walks, walks),
-                        lex_min, t0)
+    res, walks = _omega(G.arc_matrix(), P, m, lex_min)
     res.witness = ["".join(PAIR_LETTERS[v] for v in walks[i])
                    for i in res.witness]
     return res
 
 
 def omega_s(D: Digraph, P: Digraph, n: int, *,
-            cap: int = DEFAULT_UNIVERSE_CAP,
             lex_min: bool = True) -> SearchResult:
     """Largest symmetric clique of the n-th power of digraph D restricted to
     V^n(P): every ordered pair of distinct members must have a coordinate
     arc in each direction.  Loop arcs of D are ignored."""
     if D.k != P.k:
         raise SpecError(f"vertex-count mismatch: D has {D.k}, P has {P.k}")
-    t0 = time.perf_counter()
-    walks = _walk_universe(P, n, cap)
-    forward = power_adjacency(D.without_loops().arc_matrix(), walks, walks)
-    # symmetric clique == clique in the AND of the two oriented relations
-    res = _solve_clique(forward & forward.T, lex_min, t0)
+    res, walks = _omega(D.without_loops().arc_matrix(), P, n, lex_min)
     res.witness = ["".join(str(v) for v in walks[i]) for i in res.witness]
     return res

@@ -67,6 +67,13 @@ class TestExactCommand:
         assert run_cli("exact", "--channel", "F", "--n", "20")\
             .returncode == 4
 
+    def test_first_n_over_cap_exit_4(self):
+        # 2^15 pair-shift walks of length 14 are over the vertex cap
+        proc = run_cli("exact", "--channel", "F", "--n", "15", timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "exceeds cap" in proc.stderr
+
     def test_witness_file(self, tmp_path):
         out = tmp_path / "w.txt"
         rec = record_of(run_cli("exact", "--channel", "F", "--n", "3",
@@ -79,6 +86,14 @@ class TestExactCommand:
         a = run_cli("exact", "--channel", "G", "--n", "6")
         b = run_cli("exact", "--channel", "G", "--n", "6")
         assert strip_elapsed(a.stdout) == strip_elapsed(b.stdout)
+
+    @pytest.mark.parametrize("flag", ["--deterministic", "--no-deterministic"])
+    @pytest.mark.parametrize("n", ["1", "5"])
+    def test_deterministic_echoed(self, flag, n):
+        rec = record_of(run_cli("exact", "--channel", "F", "--n", n, flag))
+        want = flag == "--deterministic"
+        assert rec["inputs"]["deterministic"] is want
+        assert rec["outputs"]["deterministic"] is want
 
 
 def strip_elapsed(stdout: str) -> str:
@@ -185,6 +200,25 @@ class TestSpernerCommand:
         assert proc.returncode == 0, proc.stderr
         out = record_of(proc)["outputs"]
         assert (out["size"], out["witness"], out["rate_bits"]) == (0, [], None)
+
+    @pytest.mark.parametrize("flag", ["--deterministic", "--no-deterministic"])
+    def test_deterministic_echoed(self, flag):
+        rec = record_of(run_cli("sperner", "--digraph", "fibonacci",
+                                "--type", "fibonacci", "--k", "2",
+                                "--n", "4", flag))
+        want = flag == "--deterministic"
+        assert rec["inputs"]["deterministic"] is want
+        assert rec["outputs"]["deterministic"] is want
+
+    @pytest.mark.parametrize("n", [9, 20000])
+    def test_over_cap_exit_4(self, n):
+        # loopless K5 has 20 480 walks of length 7: refused before that
+        # layer, or any adjacency, is built
+        proc = run_cli("sperner", "--digraph", "K5", "--type", "K5",
+                       "--k", "5", "--n", str(n), timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "exceeds cap" in proc.stderr
 
 
 class TestReportCommand:

@@ -44,11 +44,18 @@ def golden_argvs() -> list[list[str]]:
             argvs.append(["exact", "--channel", channel, "--n", str(n)])
     argvs.append(["exact", "--channel", "G", "--n", "8",
                   "--no-deterministic"])
+    argvs.append(["exact", "--channel", "F", "--n", "1",
+                  "--no-deterministic"])
     for n in range(1, 9):
         argvs.append(["sperner", "--digraph", "0>1", "--type", "fibonacci",
                       "--k", "2", "--n", str(n)])
     argvs.append(["sperner", "--digraph", "C5sym", "--type", "K5",
                   "--k", "5", "--n", "2"])
+    for digraph, k, n in (("fibonacci", 2, 4), ("0>1", 2, 6),
+                          ("C5sym", 5, 2)):
+        argvs.append(["sperner", "--digraph", digraph, "--type",
+                      "fibonacci" if k == 2 else "K5", "--k", str(k),
+                      "--n", str(n), "--no-deterministic"])
     for family in ("fibonacci", "ministring-tribonacci", "no-isolated-ones",
                    "no111", "oddrun"):
         argvs.append(["construct", "--family", family, "--n", "8"])

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zecap.model import (
+    Digraph,
     FIBONACCI_DIGRAPH,
+    MAX_VERTICES,
     PAIR_LETTERS,
     ResourceCapExceeded,
     SpecError,
@@ -148,7 +150,7 @@ class TestWordPairs:
 class TestEnumerateWalks:
     def test_fibonacci_n2(self):
         walks = enumerate_walks(FIBONACCI_DIGRAPH, 2)
-        assert set(walks) == {(0, 0), (0, 1), (1, 0)}
+        assert walks.tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_full_shift_n3(self):
         full = parse_digraph_spec("0>0;0>1;1>0;1>1", 2)
@@ -159,12 +161,20 @@ class TestEnumerateWalks:
         assert len(enumerate_walks(k5, 2)) == 20
 
     def test_n1_returns_vertices(self):
-        assert enumerate_walks(FIBONACCI_DIGRAPH, 1) == [(0,), (1,)]
+        assert enumerate_walks(FIBONACCI_DIGRAPH, 1).tolist() == [[0], [1]]
 
     def test_cap(self):
         full = parse_digraph_spec("0>0;0>1;1>0;1>1", 2)
         with pytest.raises(ResourceCapExceeded):
-            enumerate_walks(full, 10, cap=100)
+            enumerate_walks(full, 15)
+
+    def test_cap_boundary(self):
+        # 2^14 pair-shift walks of length 13 (words of length 14) fill the
+        # cap exactly; one more letter doubles them
+        assert MAX_VERTICES == 2**14
+        assert len(enumerate_walks(pair_shift_digraph(), 13)) == 2**14
+        with pytest.raises(ResourceCapExceeded, match="exceeds cap"):
+            enumerate_walks(pair_shift_digraph(), 14)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pair_shift_cardinality(self, n):
@@ -172,6 +182,19 @@ class TestEnumerateWalks:
         walks = enumerate_walks(pair_shift_digraph(), n)
         assert len(walks) == 2 ** (n + 1)
         assert len({walk_to_word(w) for w in walks}) == len(walks)
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(k), st.sets(st.tuples(st.integers(0, k - 1),
+                                      st.integers(0, k - 1))))),
+        st.integers(1, 5))
+    def test_matches_filtered_product(self, k_arcs, n):
+        # lexicographic order is the order of itertools.product
+        k, arcs = k_arcs
+        expected = [list(w) for w in itertools.product(range(k), repeat=n)
+                    if all(a in arcs for a in zip(w, w[1:]))]
+        walks = enumerate_walks(Digraph(k, frozenset(arcs)), n)
+        assert walks.shape == (len(expected), n)
+        assert walks.tolist() == expected
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_count_matches_enumeration(self, n):

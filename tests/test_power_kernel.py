@@ -18,6 +18,7 @@ from zecap.model import (
     distinguishable,
     enumerate_walks,
     pair_codes,
+    pair_shift_digraph,
     parse_channel_spec,
     power_adjacency,
 )
@@ -81,9 +82,34 @@ class TestPowerAdjacency:
     @given(channels, st.integers(1, 5))
     def test_distinguishability_matrix(self, G, n):
         words = list(all_words(n))
-        mat = distinguishability_matrix(G, n)
+        mat = distinguishability_matrix(G.arc_matrix(), pair_codes(words, n))
         for i, j in itertools.product(range(len(words)), repeat=2):
             assert mat[i, j] == distinguishable(words[i], words[j], G)
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(k), digraphs(k).map(Digraph.without_loops),
+        st.integers(0, 3), st.integers(0, 6),
+        st.randoms(use_true_random=False))))
+    def test_directed_distinguishability_matrix(self, args):
+        # a symmetric clique needs an arc each way at some coordinate
+        k, D, L, na, rng = args
+        W = np.array([[rng.randrange(k) for _ in range(L)]
+                      for _ in range(na)], dtype=np.intp).reshape(na, L)
+        mat = distinguishability_matrix(D.arc_matrix(), W)
+
+        def forward(u, v):
+            return any(D.has_arc(int(a), int(b)) for a, b in zip(u, v))
+
+        for i, j in itertools.product(range(na), repeat=2):
+            assert mat[i, j] == (forward(W[i], W[j])
+                                 and forward(W[j], W[i]))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_pair_shift_walks_are_the_words_in_order(self, n):
+        # exact_M's vertex v is the word of v in binary
+        walks = enumerate_walks(pair_shift_digraph(), n - 1)
+        np.testing.assert_array_equal(
+            walks, pair_codes(list(all_words(n)), n))
 
     def test_pair_codes(self):
         codes_ = pair_codes(["0110", "1001"], 4)

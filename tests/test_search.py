@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zecap.model import (
     FIBONACCI_DIGRAPH,
+    MAX_VERTICES,
     NAMED_CHANNELS,
     PAIR_LETTERS,
     ResourceCapExceeded,
@@ -17,6 +18,7 @@ from zecap.model import (
     complete_digraph,
     cycle_sym_digraph,
     distinguishable,
+    enumerate_walks,
     pair_shift_digraph,
     parse_channel_spec,
 )
@@ -42,6 +44,13 @@ ALL_CHANNELS = [
 # removes two vertices a round for 2^(n-2) rounds
 MANY_ROUNDS_ORBIT = ("00-01;00-10;01-11", "00-10;01-11;10-11",
                      "00-01;00-10;10-11", "00-01;01-11;10-11")
+
+
+def word_graph(G, n):
+    """The distinguishability graph of the length-n words, n >= 2: G's
+    power over the pair-shift walks of length n-1, in word order."""
+    walks = enumerate_walks(pair_shift_digraph(), n - 1)
+    return distinguishability_matrix(G.arc_matrix(), walks)
 
 
 def subset_oracle_M(G, n):
@@ -136,6 +145,36 @@ class TestMaxClique:
                          lambda a, b: tuple(sorted((a, b))) in edges)
         assert res.witness == [0, 1]
 
+    def test_cap_before_predicate(self):
+        calls = []
+        with pytest.raises(ResourceCapExceeded, match="exceeds cap"):
+            max_clique(range(MAX_VERTICES + 1),
+                       lambda a, b: calls.append((a, b)))
+        assert calls == []
+
+
+class TestDeterministicFlag:
+    """`deterministic` reports the lex_min mode the witness was chosen in,
+    for every problem and for the n=1 shortcut of exact_M."""
+
+    @pytest.mark.parametrize("lex_min", [True, False])
+    def test_every_problem(self, lex_min):
+        results = [
+            exact_M(TRIANGLE_F, 1, lex_min=lex_min),
+            exact_M(TRIANGLE_F, 5, lex_min=lex_min),
+            omega_power_markov(TRIANGLE_F, pair_shift_digraph(), 3,
+                               lex_min=lex_min),
+            omega_s(cycle_sym_digraph(5), complete_digraph(5), 2,
+                    lex_min=lex_min),
+            omega_s(SINGLE_ARC_DIGRAPH, FIBONACCI_DIGRAPH, 4,
+                    lex_min=lex_min),
+            max_clique(list(range(5)), lambda a, b: abs(a - b) in (1, 4),
+                       lex_min=lex_min),
+        ]
+        assert [r.deterministic for r in results] == [lex_min] * 6
+        assert all(r.to_record("p", 1)["deterministic"] is lex_min
+                   for r in results)
+
 
 def reference_dominated_vertex_mask(adj):
     """The dominance rounds by dense matrix products: each round counts
@@ -190,7 +229,7 @@ class TestDominatedVertexMask:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_on_every_channel(self, n):
         for G in ALL_CHANNELS:
-            adj = distinguishability_matrix(G, n)
+            adj = word_graph(G, n)
             np.testing.assert_array_equal(
                 dominated_vertex_mask(adj),
                 reference_dominated_vertex_mask(adj), err_msg=G.to_spec())
@@ -214,7 +253,7 @@ class TestManyRoundsOrbit:
         res = exact_M(G, n)
         assert res.size == 2 ** (n - 1) == len(res.witness)
         w = [int(x, 2) for x in res.witness]
-        adj = distinguishability_matrix(G, n)[np.ix_(w, w)]
+        adj = word_graph(G, n)[np.ix_(w, w)]
         assert (adj | np.eye(len(w), dtype=bool)).all()
         if n <= 5:
             assert naive_exact_M(G, n) == res.size
