@@ -21,7 +21,7 @@ MAX_BISECT_ITERS = 200
 _TAIL_GUARD = 1 - 1e-12
 
 
-class NoRootError(ValueError):
+class NoRootError(SpecError):
     """The characteristic equation has no root in (0,1)."""
 
 
@@ -106,8 +106,7 @@ def solve_characteristic(eq: CharacteristicEquation,
                          residual=abs(eq.value(x) - 1.0), iterations=iters)
 
 
-def beta_sequence(k_max: int, tol: float = DEFAULT_TOL
-                  ) -> list[CapacityValue]:
+def beta_sequence(k_max: int) -> list[CapacityValue]:
     """Rates for the truncated odd-run equations with head lengths
     {1, 2, 4, ..., 2k+2}, k = 0..k_max; strictly increasing in k and bounded
     by the full geometric-tail rate."""
@@ -116,31 +115,21 @@ def beta_sequence(k_max: int, tol: float = DEFAULT_TOL
     out = []
     for k in range(k_max + 1):
         head = (1,) + tuple(range(2, 2 * k + 3, 2))
-        out.append(solve_characteristic(CharacteristicEquation(head), tol))
+        out.append(solve_characteristic(CharacteristicEquation(head)))
     return out
-
-
-def _has_cycle(P: Digraph) -> bool:
-    """A acyclic iff A^k = 0."""
-    mat = P.arc_matrix().astype(float)
-    power = mat.copy()
-    for _ in range(P.k):
-        if not power.any():
-            return False
-        power = power @ mat
-    return True
 
 
 def perron_growth(P: Digraph) -> CapacityValue:
     """log2 of the spectral radius of P's adjacency matrix, from all its
     eigenvalues; this is the exponential growth rate of |V^n(P)|.
 
-    Acyclic digraphs return rate 0 with root 1.  `residual` is
-    ||A x - lambda x|| of the dominant eigenpair."""
-    if not _has_cycle(P):
+    Acyclic digraphs (A^k = 0 over the Boolean semiring) return rate 0
+    with root 1.  `residual` is ||A x - lambda x|| of the dominant pair."""
+    mat = P.arc_matrix()
+    if not np.linalg.matrix_power(mat, P.k).any():
         return CapacityValue(root=1.0, rate_bits=0.0, residual=0.0,
                              iterations=0)
-    mat = P.arc_matrix().astype(float)
+    mat = mat.astype(float)
     vals, vecs = np.linalg.eig(mat)
     i = int(np.argmax(np.abs(vals)))
     residual = float(np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]))

@@ -4,8 +4,8 @@ Every invocation prints exactly one JSON record on stdout: the command, a
 structured echo of its inputs, the operation payload, the tool version and
 the elapsed time.  `--pretty` adds a human-readable rendering on stderr.
 
-Exit codes: 0 ok, 1 verification failed, 2 input error, 3 numerical
-non-convergence, 4 resource cap exceeded.
+Exit codes: 0 ok, 1 verification failed, 2 input error (a file that cannot
+be read or written too), 3 non-convergence, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .model import (
 )
 from .search import exact_M, omega_s
 from .capacity import (
+    DEFAULT_TOL,
     CharacteristicEquation,
     ConvergenceError,
     NAMED_EQUATIONS,
-    NoRootError,
     solve_characteristic,
 )
 from .construct import (
@@ -93,7 +93,7 @@ def read_word_file(path: str) -> Code:
     if not words:
         raise SpecError(f"no words in {path}")
     n = len(words[0])
-    return Code(n, set(words), provenance=path)
+    return Code(n, set(words))
 
 
 def write_word_file(path: str, code: Code) -> None:
@@ -126,9 +126,6 @@ def cmd_exact(args) -> tuple[dict, dict, int]:
 
 
 def cmd_construct(args) -> tuple[dict, dict, int]:
-    if args.family not in FAMILIES:
-        raise SpecError(f"unknown family {args.family!r}; choose from "
-                        f"{sorted(FAMILIES)}")
     code = FAMILIES[args.family](args.n)
     outputs = {"family": args.family, "n": args.n, "count": len(code)}
     if args.out:
@@ -166,42 +163,37 @@ def cmd_sperner(args) -> tuple[dict, dict, int]:
 REPORT_COLUMNS = ["theorem", "n", "lower_bound", "exact", "upper_bound",
                   "analytic_rate", "empirical_rate"]
 
-# theorem name -> (channel, family of the lower construction, family whose
-# cardinality upper-bounds M, equation); the star-01 lower bound is the
-# single-edge subgraph value, not a family count
+_EDGE_00_01 = parse_channel_spec("00-01")
+
+# theorem name -> (channel, lower bound on M as a function of n, upper
+# bound on M as a function of n or None, equation)
 _REPORT_ROWS = {
-    "triangle-00-01-10": ("F", "ministring-tribonacci", "no111",
-                          "ministring-tribonacci"),
-    "triangle-00-01-11": ("G", "oddrun", None, "oddrun"),
-    "star-00": ("L", "no-isolated-ones", None, "no-isolated-ones"),
-    "star-01": ("Q", None, "fibonacci", "fibonacci"),
+    "triangle-00-01-10": (
+        "F", lambda n: len(largest_block_class(
+            ministring_code(TRIBONACCI_SET, n), TRIBONACCI_SET, "011")),
+        FAMILY_COUNTS["no111"], "ministring-tribonacci"),
+    "triangle-00-01-11": ("G", FAMILY_COUNTS["oddrun"], None, "oddrun"),
+    "star-00": ("L", FAMILY_COUNTS["no-isolated-ones"], None,
+                "no-isolated-ones"),
+    # the single-edge subgraph's value, not a family count
+    "star-01": ("Q", lambda n: exact_M(_EDGE_00_01, n, lex_min=False).size,
+                FAMILY_COUNTS["fibonacci"], "fibonacci"),
 }
 
 
 def report_rows(n_max: int) -> list[dict]:
     rows = []
-    for theorem, (chan, lower_fam, upper_fam, eq_name) in \
-            _REPORT_ROWS.items():
+    for theorem, (chan, lower_of, upper_of, eq_name) in _REPORT_ROWS.items():
         G = NAMED_CHANNELS[chan]
         analytic = solve_characteristic(NAMED_EQUATIONS[eq_name]).rate_bits
         for n in range(2, n_max + 1):
-            if theorem == "triangle-00-01-10":
-                lower = len(largest_block_class(
-                    ministring_code(TRIBONACCI_SET, n), TRIBONACCI_SET,
-                    "011"))
-            elif lower_fam is None:
-                lower = exact_M(parse_channel_spec("00-01"), n,
-                                lex_min=False).size
-            else:
-                lower = FAMILY_COUNTS[lower_fam](n)
             exact = exact_M(G, n, lex_min=False).size
-            upper = FAMILY_COUNTS[upper_fam](n) if upper_fam else ""
             rows.append({
                 "theorem": theorem,
                 "n": n,
-                "lower_bound": lower,
+                "lower_bound": lower_of(n),
                 "exact": exact,
-                "upper_bound": upper,
+                "upper_bound": upper_of(n) if upper_of else "",
                 "analytic_rate": f"{analytic:.10g}",
                 "empirical_rate": f"{math.log2(exact) / n:.10g}",
             })
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ministring lengths, e.g. 1,2,3")
     p.add_argument("--tail", default=None,
                    help="optional arithmetic tail start,step")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("exact", help="exact M(G,n) by branch and bound")
@@ -288,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, outputs, code = args.func(args)
-    except (SpecError, FileNotFoundError, NoRootError) as exc:
+    except (SpecError, OSError, UnicodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -145,7 +145,7 @@ def ministring_code(S: MinistringSet, n: int,
     else:
         words = [s[1:] + rest for s in members if s[0] == "0"
                  for rest in layers[n + 1 - len(s)]]
-    return Code(n, set(words), provenance=f"ministrings{S.lengths_up_to(n)}")
+    return Code(n, set(words))
 
 
 def ministring_count(S: MinistringSet, n: int,
@@ -186,8 +186,7 @@ def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:
         count = decompose(w, S).count(block)
         classes.setdefault(count, set()).add(w)
     best = max(sorted(classes), key=lambda c: (len(classes[c]), -c))
-    return Code(code.n, classes[best],
-                provenance=f"{code.provenance}|block={block} x{best}")
+    return Code(code.n, classes[best])
 
 
 def normalize_no111(x: str) -> str:

@@ -10,15 +10,16 @@ with its transpose only when the arc matrix is directed), and solve.
 spell the 2^n words in order; `omega_power_markov` is G's edge matrix over
 the walks of P; `omega_s` is the loop-free arc matrix of D.  Every search
 has one vertex cap, `model.MAX_VERTICES`, checked before anything of that
-size is allocated: by `enumerate_walks` on each layer, and by `max_clique`
-(the documented entry point for an explicit universe and pair predicate)
-before its predicate runs.  No function takes a cap of its own.
+size is allocated: by `Digraph.arc_matrix`, by `enumerate_walks` on each
+layer, by `greedy_code` on its word list and by `max_clique` (the entry
+point for an explicit universe and pair predicate) before its predicate.
 
 One pipeline solves them all: dominance reduction, packing of rows into
-Python-int bitsets, a greedy seed, and a branch-and-bound maximum-clique
-search with greedy-coloring upper bounds.  The reduction works on rows
-packed into uint64 words, in rounds that retest only the non-adjacent
-pairs still alive, so its cost follows the non-edges rather than N^2.
+Python-int bitsets, and a branch-and-bound maximum-clique search with
+greedy-coloring upper bounds that seeds itself with the greedy clique of
+the lowest vertices.  The reduction works on rows packed into uint64
+words, in rounds that retest only the non-adjacent pairs still alive, so
+its cost follows the non-edges rather than N^2.
 Results are deterministic: vertices are always processed in a fixed order
 and, in deterministic mode, the returned witness is the lexicographically
 smallest maximum clique among the vertices the reduction keeps; when they
@@ -179,25 +180,21 @@ def _lex_min_witness(adj: list[int], n: int, size: int,
     return chosen
 
 
-def max_clique_bitset(adj: list[int], n: int,
-                      seed: Sequence[int] = (),
-                      lex_min: bool = True) -> SearchResult:
+def max_clique_bitset(adj: list[int], n: int, lex_min: bool = True
+                      ) -> SearchResult:
     """Exact maximum clique for adjacency bitset rows adj[0..n-1].
 
-    `seed` is a known clique used as the initial incumbent; `lex_min`
-    additionally replaces the witness by the lexicographically smallest
-    maximum clique (deterministic mode)."""
+    The greedy clique of the lowest vertices is the initial incumbent;
+    `lex_min` additionally replaces the witness by the lexicographically
+    smallest maximum clique (deterministic mode)."""
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
         sys.setrecursionlimit(n + 1000)
     t0 = time.perf_counter()
     if n == 0:
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
-    kern = _CliqueKernel(adj, seed)
+    kern = _CliqueKernel(adj, _greedy_clique(adj, (1 << n) - 1))
     kern.expand([], (1 << n) - 1)
-    if kern.best == 0:
-        # every graph with a vertex has a 1-clique; seed was empty
-        kern.best, kern.best_set = 1, [0]
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
@@ -249,7 +246,9 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
     rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 32)))
     blocks = rows.view("<u8").reshape(n, rows.shape[1] // 32, 4)
     keep = np.zeros(n, dtype=bool)
-    keep[np.unique(rows, axis=0, return_index=True)[1]] = True
+    # one void field per row: first occurrences of each distinct row
+    keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
+                   return_index=True)[1]] = True
     rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
     deg = np.zeros(n, dtype=np.int64)
     step = max(1, 2**20 // max(n, 1))
@@ -287,13 +286,11 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
 def _solve_clique(mat: np.ndarray, lex_min: bool, t0: float
                   ) -> SearchResult:
     """The search pipeline for a boolean adjacency matrix: dominance
-    reduction, bitset packing, greedy seed, branch and bound.  The witness
-    holds row indices of `mat`; `elapsed` counts from t0."""
+    reduction, bitset packing, branch and bound.  The witness holds row
+    indices of `mat`; `elapsed` counts from t0."""
     idx = np.flatnonzero(dominated_vertex_mask(mat))
     adj = _rows_to_bitsets(mat[np.ix_(idx, idx)])
-    m = len(idx)
-    res = max_clique_bitset(adj, m, seed=_greedy_clique(adj, (1 << m) - 1),
-                            lex_min=lex_min)
+    res = max_clique_bitset(adj, len(idx), lex_min=lex_min)
     res.witness = [int(idx[v]) for v in res.witness]
     res.elapsed = time.perf_counter() - t0
     return res
@@ -330,18 +327,18 @@ def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
     return mat
 
 
-def greedy_code(G: ChannelGraph, n: int, order: Sequence[str] | None = None
-                ) -> Code:
-    """Maximal pairwise-distinguishable code by greedy scan; lexicographic
-    order unless an explicit word order is given."""
-    words = list(order) if order is not None else list(all_words(n))
+def greedy_code(G: ChannelGraph, n: int) -> Code:
+    """Maximal pairwise-distinguishable code by greedy scan of the words in
+    lexicographic order, which are first checked against the vertex cap."""
+    check_vertex_cap(2**n, "word list")
+    words = list(all_words(n))
     arc = G.arc_matrix()
     codes = pair_codes(words, n)
     kept: list[int] = []
     for i in range(len(words)):
         if power_adjacency(arc, codes[i:i + 1], codes[kept]).all():
             kept.append(i)
-    return Code(n, {words[i] for i in kept}, provenance="greedy")
+    return Code(n, {words[i] for i in kept})
 
 
 def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool

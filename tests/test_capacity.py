@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zecap.model import (
+    Digraph,
     FIBONACCI_DIGRAPH,
     SpecError,
     count_walks,
@@ -90,6 +93,23 @@ class TestBetaSequence:
         assert abs(beta_sequence(20)[-1].rate_bits - beta) <= 1e-6
 
 
+def has_cycle_dfs(k, arcs):
+    """Independent oracle: a three-color depth-first search finds a back
+    arc (a loop counts) iff the digraph has a cycle."""
+    succ = {v: [b for a, b in arcs if a == v] for v in range(k)}
+    state = [0] * k  # 0 unseen, 1 on the stack, 2 done
+
+    def visit(v):
+        state[v] = 1
+        for w in succ[v]:
+            if state[w] == 1 or (state[w] == 0 and visit(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state[v] == 0 and visit(v) for v in range(k))
+
+
 class TestPerronGrowth:
     def test_full_shift(self):
         full = parse_digraph_spec("0>0;0>1;1>0;1>1", 2)
@@ -114,6 +134,25 @@ class TestPerronGrowth:
         v = perron_growth(parse_digraph_spec(spec, 4))
         assert abs(v.rate_bits) < 1e-12
         assert v.residual < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+        st.just(k), st.sets(st.tuples(st.integers(0, k - 1),
+                                      st.integers(0, k - 1))))))
+    def test_matches_dfs_and_spectral_radius(self, k_arcs):
+        k, arcs = k_arcs
+        P = Digraph(k, frozenset(arcs))
+        v = perron_growth(P)
+        if has_cycle_dfs(k, arcs):
+            radius = max(abs(np.linalg.eigvals(P.arc_matrix().astype(float))))
+            assert abs(v.rate_bits - math.log2(radius)) < 1e-9
+        else:
+            assert (v.rate_bits, v.root, v.residual) == (0.0, 1.0, 0.0)
+
+    def test_long_chain_is_exactly_zero(self):
+        chain = Digraph(300, frozenset((i, i + 1) for i in range(299)))
+        v = perron_growth(chain)
+        assert (v.rate_bits, v.residual, v.root) == (0.0, 0.0, 1.0)
 
     def test_matches_walk_count_growth(self):
         v = perron_growth(FIBONACCI_DIGRAPH)

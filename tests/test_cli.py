@@ -173,6 +173,29 @@ class TestVerifyCommand:
         assert run_cli("verify", "--code", "/nonexistent",
                        "--channel", "F").returncode == 2
 
+    def test_non_ascii_file_exit_2(self, tmp_path):
+        code = tmp_path / "code.txt"
+        code.write_bytes("0é1\n".encode("utf-8"))
+        proc = run_cli("verify", "--code", str(code), "--channel", "F")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:")
+
+    def test_directory_as_code_exit_2(self, tmp_path):
+        proc = run_cli("verify", "--code", str(tmp_path), "--channel", "F")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "fibonacci", "--n", "3"],
+    ["exact", "--channel", "F", "--n", "3"],
+    ["report", "--n-max", "3"],
+])
+def test_directory_as_out_exit_2(argv, tmp_path):
+    proc = run_cli(*argv, "--out", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")
+
 
 class TestSpernerCommand:
     def test_fibonacci_n2(self):
@@ -218,6 +241,13 @@ class TestSpernerCommand:
                        "--k", "5", "--n", str(n), timeout=60)
         assert proc.returncode == 4
         assert proc.stdout == ""
+        assert "exceeds cap" in proc.stderr
+
+    def test_huge_k_exit_4_before_allocating(self):
+        # D's 10^6 x 10^6 arc matrix would take 931 GiB
+        proc = run_cli("sperner", "--digraph", "0>1", "--type", "0>1",
+                       "--k", "1000000", "--n", "2", timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, "")
         assert "exceeds cap" in proc.stderr
 
 

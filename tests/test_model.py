@@ -12,6 +12,7 @@ from zecap.model import (
     SpecError,
     TRIANGLE_F,
     all_words,
+    check_word,
     complete_digraph,
     count_walks,
     distinguishable,
@@ -35,6 +36,28 @@ def all_channel_graphs():
     for r in range(len(all_edges) + 1):
         for combo in itertools.combinations(all_edges, r):
             yield parse_channel_spec(";".join(combo))
+
+
+class TestCheckWord:
+    @pytest.mark.parametrize("w", ["0", "1", "0110", "1" * 50])
+    def test_accepted(self, w):
+        assert check_word(w) == w
+
+    @pytest.mark.parametrize("w", ["", "01x", " 01", "01 ", "0\n", "１",
+                                   "0x1", "2"])
+    def test_rejected(self, w):
+        with pytest.raises(SpecError, match="not a binary word"):
+            check_word(w)
+
+    @given(st.text(alphabet="01x \n１", max_size=6))
+    def test_matches_per_character_scan(self, w):
+        binary = bool(w) and all(c in "01" for c in w)
+        try:
+            check_word(w)
+        except SpecError:
+            assert not binary
+        else:
+            assert binary
 
 
 class TestParseChannelSpec:
@@ -85,6 +108,12 @@ class TestParseDigraphSpec:
 
     def test_loops_permitted(self):
         assert (1, 1) in parse_digraph_spec("1>1", 2).arcs
+
+    def test_arc_matrix_cap_before_allocating(self):
+        # a 10^6-vertex matrix would take 931 GiB
+        d = parse_digraph_spec("0>1", 10**6)
+        with pytest.raises(ResourceCapExceeded, match="exceeds cap"):
+            d.arc_matrix()
 
 
 class TestDistinguishable:

@@ -234,6 +234,22 @@ class TestDominatedVertexMask:
                 dominated_vertex_mask(adj),
                 reference_dominated_vertex_mask(adj), err_msg=G.to_spec())
 
+    @pytest.mark.parametrize("spec", ["F", "G", "L", "Q", "00-11", ""])
+    def test_matches_reference_at_2048_vertices(self, spec):
+        # pairs are listed in 4 row blocks, and a round removes more
+        # vertices than a block holds
+        G = NAMED_CHANNELS.get(spec) or parse_channel_spec(spec)
+        adj = word_graph(G, 11)
+        np.testing.assert_array_equal(dominated_vertex_mask(adj),
+                                      reference_dominated_vertex_mask(adj))
+
+
+@pytest.mark.parametrize("lex_min", [True, False])
+def test_edgeless_bitset_seeds_a_vertex(lex_min):
+    # the greedy seed of a nonempty universe is at least one vertex
+    res = max_clique_bitset([0] * 5, 5, lex_min=lex_min)
+    assert (res.size, res.witness) == (1, [0])
+
 
 def test_clique_witness_skips_no_nodes():
     # on a clique of every vertex the lex-min search is skipped; witness
@@ -374,6 +390,11 @@ class TestGreedyCode:
         code = greedy_code(TRIANGLE_G, 6)
         for x, y in itertools.combinations(code.sorted_words(), 2):
             assert distinguishable(x, y, TRIANGLE_G)
+
+    def test_cap_before_word_list(self):
+        # 2^15 words: refused before any word is listed
+        with pytest.raises(ResourceCapExceeded, match="exceeds cap"):
+            greedy_code(TRIANGLE_F, 15)
 
 
 class TestSupermultiplicativity:
