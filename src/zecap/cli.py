@@ -21,6 +21,7 @@ import time
 from . import __version__
 from .model import (
     Code,
+    MAX_VERTICES,
     NAMED_CHANNELS,
     NAMED_DIGRAPHS,
     ResourceCapExceeded,
@@ -182,6 +183,9 @@ _REPORT_ROWS = {
 
 
 def report_rows(n_max: int) -> list[dict]:
+    if n_max >= MAX_VERTICES.bit_length():
+        raise ResourceCapExceeded(f"word list of 2^{n_max} vertices "
+                                  f"exceeds cap {MAX_VERTICES}")
     rows = []
     for theorem, (chan, lower_of, upper_of, eq_name) in _REPORT_ROWS.items():
         G = NAMED_CHANNELS[chan]

@@ -29,6 +29,7 @@ from .model import (
     check_word,
     pair_codes,
     power_adjacency,
+    unpack_rows,
 )
 
 # verify_code holds at most about this many pair outcomes at once
@@ -82,13 +83,13 @@ NO_ISOLATED_ONES_SET = MinistringSet(("0",), tail=(3, 1))
 FIBONACCI_SET = MinistringSet(("0", "01"))
 
 
-def postfix_free(S: MinistringSet, check_up_to: int = 0) -> bool:
-    """True iff no member is a proper suffix of another, including tail
-    members up to the longest finite member plus one tail period."""
+def postfix_free(S: MinistringSet) -> bool:
+    """True iff no member is a proper suffix of another.  A tail member
+    0 1^(L-1) ends only in finite members 1^l, and the first tail length
+    L > l is at most max(l, tail start) + step: that horizon decides."""
     horizon = max(len(s) for s in S.strings)
     if S.tail is not None:
-        horizon = max(horizon, S.tail[0] + S.tail[1])
-    horizon = max(horizon, check_up_to)
+        horizon = max(horizon, S.tail[0]) + S.tail[1]
     members = S.members_up_to(horizon)
     for a in members:
         for b in members:
@@ -102,7 +103,7 @@ def decompose(x: str, S: MinistringSet) -> list[str]:
     the right; postfix-freeness makes at most one member match at each
     step."""
     check_word(x)
-    if not postfix_free(S, check_up_to=len(x)):
+    if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
     members = S.members_up_to(len(x))
     parts: list[str] = []
@@ -131,7 +132,7 @@ def ministring_code(S: MinistringSet, n: int,
     if count > MAX_CODE_WORDS:
         raise ResourceCapExceeded(f"code of about 2^{math.log2(count):.1f} "
                                   f"words exceeds cap {MAX_CODE_WORDS}")
-    if not postfix_free(S, check_up_to=n + 1):
+    if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
     members = S.members_up_to(n + 1)
     # layers[m] lists the length-m concatenations as a first member then a
@@ -269,7 +270,8 @@ def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
     failures: list[tuple[str, str]] = []
     for i0 in range(0, k, rows):
         # block entry [r, c] is the pair (i0 + r, i0 + 1 + c); keep c >= r
-        block = power_adjacency(arc, codes[i0:i0 + rows], codes[i0 + 1:])
+        block = unpack_rows(power_adjacency(arc, codes[i0:i0 + rows],
+                                            codes[i0 + 1:]), k - i0 - 1)
         bad_r, bad_c = np.nonzero(np.triu(~block))
         room = VerificationReport.MAX_FAILURES - len(failures)
         failures += [(words[i0 + r], words[i0 + 1 + c])

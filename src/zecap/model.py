@@ -124,9 +124,6 @@ class Code:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, w: str) -> bool:
-        return w in self.words
-
 
 def parse_channel_spec(text: str, name: str = "") -> ChannelGraph:
     """Parse "ab-cd;ef-gh" edge lists over the pair alphabet."""
@@ -188,21 +185,26 @@ def pair_codes(words: Sequence[str], n: int) -> np.ndarray:
     return 2 * bits[:, :-1] + bits[:, 1:]
 
 
+def unpack_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits of each packed row, as a boolean matrix."""
+    return np.unpackbits(rows, axis=1, count=count,
+                         bitorder="little").view(bool)
+
+
 def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
                     ) -> np.ndarray:
     """Coordinatewise power of a (di)graph between two walk arrays.
 
     A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
-    is the |A| x |B| boolean matrix of `any_i arc[A[:, i], B[:, i]]`, built
-    one coordinate at a time so that no |A| x |B| x L array exists: each
-    coordinate is a row gather of the k x |B| table arc[:, B[:, i]], taken
-    a bounded block of rows at a time."""
-    out = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
-    step = max(1, 2**20 // max(B.shape[0], 1))
+    is the |A| x |B| matrix of `any_i arc[A[:, i], B[:, i]]` with each row
+    packed as a little-endian uint8 bitset, zero-padded to whole 256-bit
+    blocks: every adjacency here is held in this form.  It is built one
+    coordinate at a time as a row gather of the packed k x |B| table
+    arc[:, B[:, i]], so no larger array exists."""
+    out = np.zeros((A.shape[0], -(-B.shape[0] // 256) * 32), dtype=np.uint8)
     for i in range(A.shape[1]):
-        table = arc[:, B[:, i]]
-        for r0 in range(0, A.shape[0], step):
-            out[r0:r0 + step] |= table[A[r0:r0 + step, i]]
+        table = np.pad(arc[:, B[:, i]], ((0, 0), (0, -B.shape[0] % 256)))
+        out |= np.packbits(table, axis=1, bitorder="little")[A[:, i]]
     return out
 
 
@@ -229,7 +231,7 @@ def enumerate_walks(P: Digraph, n: int) -> np.ndarray:
         check_vertex_cap(int(succ.sum()), "walk set")
         rows, last = np.nonzero(succ)
         walks = np.column_stack([walks[rows], last])
-    # the array lives as long as the N x N search; keep it narrow
+    # the array lives as long as the search; keep it narrow
     return walks.astype(np.min_scalar_type(P.k - 1))
 
 

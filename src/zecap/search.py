@@ -2,31 +2,24 @@
 M(G,n), maximum cliques of power graphs restricted to walk sets, and
 maximum symmetric cliques of digraph powers.
 
-All three are one problem on one route, `_omega(arc, P, m)`: enumerate the
-walks V^m(P), build `distinguishability_matrix(arc, walks)` (the
-coordinatewise power `model.power_adjacency` of a small arc matrix, ANDed
-with its transpose only when the arc matrix is directed), and solve.
-`exact_M` is G's edge matrix over the pair-shift walks of length n-1, which
-spell the 2^n words in order; `omega_power_markov` is G's edge matrix over
-the walks of P; `omega_s` is the loop-free arc matrix of D.  Every search
-has one vertex cap, `model.MAX_VERTICES`, checked before anything of that
-size is allocated: by `Digraph.arc_matrix`, by `enumerate_walks` on each
-layer, by `greedy_code` on its word list and by `max_clique` (the entry
-point for an explicit universe and pair predicate) before its predicate.
+All three run `_omega(arc, P, m)`: enumerate the walks V^m(P), build
+`distinguishability_matrix(arc, walks)`, and solve.  `exact_M` uses G over
+the pair-shift walks of length n-1, which spell the 2^n words in order;
+`omega_power_markov` G over the walks of P; `omega_s` the loop-free D.
+One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
+size exists.
 
-One pipeline solves them all: dominance reduction, packing of rows into
-Python-int bitsets, and a branch-and-bound maximum-clique search with
-greedy-coloring upper bounds that seeds itself with the greedy clique of
-the lowest vertices.  The reduction works on rows packed into uint64
-words, in rounds that retest only the non-adjacent pairs still alive, so
-its cost follows the non-edges rather than N^2.
-Results are deterministic: vertices are always processed in a fixed order
-and, in deterministic mode, the returned witness is the lexicographically
-smallest maximum clique among the vertices the reduction keeps; when they
-form a clique, that is all of them and no lex-min search runs.  That need
-not be the smallest of the whole graph: for channel 00-11 at n=3 the
-witness is {000, 111}, while {000, 011} is smaller.  The result's
-`deterministic` flag records which mode chose the witness.
+Every adjacency is held as the packed rows of `model.power_adjacency`,
+never as an N x N boolean array.  The pipeline removes dominated vertices,
+clearing their bits from the rows in place; turns the kept rows into
+Python-int bitsets; and runs branch and bound with greedy-coloring bounds
+on the kept set, seeded with the greedy clique of its lowest vertices.
+In deterministic mode the witness is the lexicographically smallest
+maximum clique among the kept vertices (all of them, with no lex-min
+search, when they form a clique).  That need not be the smallest of the
+whole graph: for channel 00-11 at n=3 the witness is {000, 111}, while
+{000, 011} is smaller.  The result's `deterministic` flag records which
+mode chose the witness.
 """
 
 from __future__ import annotations
@@ -50,6 +43,7 @@ from .model import (
     pair_codes,
     pair_shift_digraph,
     power_adjacency,
+    unpack_rows,
 )
 
 
@@ -158,55 +152,53 @@ def _has_clique_of_size(adj: list[int], P: int, need: int,
     return False
 
 
-def _lex_min_witness(adj: list[int], n: int, size: int,
+def _lex_min_witness(adj: list[int], P: int, size: int,
                      nodes: list[int]) -> list[int]:
-    """Lexicographically smallest clique of the known maximum size, built by
-    confirming one vertex at a time with decision searches."""
+    """Lexicographically smallest clique of the known maximum size inside
+    bitset P, built by confirming one vertex at a time, lowest first, with
+    decision searches; `scan` holds the members of P not yet tried."""
     chosen: list[int] = []
-    P = (1 << n) - 1
-    need = size
-    v = 0
-    while need > 0:
-        while True:
-            bit = 1 << v
-            if P & bit and _has_clique_of_size(adj, P & adj[v], need - 1,
-                                               nodes):
-                break
-            v += 1
-        chosen.append(v)
-        P &= adj[v]
-        need -= 1
-        v += 1
+    scan = P
+    while len(chosen) < size:
+        v = (scan & -scan).bit_length() - 1
+        scan &= ~(1 << v)
+        if _has_clique_of_size(adj, P & adj[v], size - len(chosen) - 1,
+                               nodes):
+            chosen.append(v)
+            P &= adj[v]
+            scan &= adj[v]
     return chosen
 
 
-def max_clique_bitset(adj: list[int], n: int, lex_min: bool = True
+def max_clique_bitset(adj: list[int], P: int, lex_min: bool = True
                       ) -> SearchResult:
-    """Exact maximum clique for adjacency bitset rows adj[0..n-1].
-
-    The greedy clique of the lowest vertices is the initial incumbent;
-    `lex_min` additionally replaces the witness by the lexicographically
-    smallest maximum clique (deterministic mode)."""
+    """Exact maximum clique of the graph that bitset rows adj induce on
+    the universe bitset P (rows need not be cleared outside P).  The greedy
+    clique of the lowest vertices is the initial incumbent; `lex_min` then
+    replaces the witness by the lexicographically smallest maximum clique
+    (deterministic mode)."""
+    n = P.bit_count()
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
         sys.setrecursionlimit(n + 1000)
     t0 = time.perf_counter()
     if n == 0:
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
-    kern = _CliqueKernel(adj, _greedy_clique(adj, (1 << n) - 1))
-    kern.expand([], (1 << n) - 1)
+    kern = _CliqueKernel(adj, _greedy_clique(adj, P))
+    kern.expand([], P)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
         # a clique of all n vertices is the only maximum clique
-        witness = _lex_min_witness(adj, n, kern.best, nodes)
+        witness = _lex_min_witness(adj, P, kern.best, nodes)
     return SearchResult(kern.best, sorted(witness), nodes[0],
                         time.perf_counter() - t0, lex_min)
 
 
-def _rows_to_bitsets(mat: np.ndarray) -> list[int]:
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _rows_to_bitsets(rows: np.ndarray, keep: np.ndarray) -> list[int]:
+    """Python-int bitsets of the rows marked in keep, 0 for the others."""
+    return [int.from_bytes(row.tobytes(), "little") if kept else 0
+            for row, kept in zip(rows, keep)]
 
 
 def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
@@ -224,9 +216,10 @@ def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
             live = live[ptr[live] < blocks.shape[1]]
 
 
-def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
+def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask after iterated removal of dominated vertices, for a
-    symmetric loop-free boolean adjacency matrix.
+    symmetric loop-free adjacency of `power_adjacency` packed rows; removed
+    vertices' bits are cleared from the rows in place.
 
     u is dominated by v when they are non-adjacent and N(u) is a subset of
     N(v); any clique through u then maps to one through v, so u can be
@@ -234,16 +227,12 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
     vertex with a strict dominator or a twin (equal neighborhood) of
     smaller index, until a round removes nothing.
 
-    Rows are packed once into blocks of four uint64 words.  Twins stay
-    twins, so twin classes are cut to their smallest index up front and
-    the other non-adjacent pairs are listed once.  Each direction of a pair
-    keeps a pointer to its first block where N(u) has a vertex N(v) lacks;
-    rows only lose bits, so a round resumes there, where deg u <= deg v,
-    then clears the removed vertices' bits in place, lowers the degrees
-    and drops their pairs."""
-    n = adj.shape[0]
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 32)))
+    Twin classes are cut to their smallest index up front; the other
+    non-adjacent pairs are listed once, a bounded block of unpacked rows at
+    a time.  Each pair direction keeps a pointer to its first 256-bit block
+    where N(u) has a vertex N(v) lacks; rows only lose bits, so a round
+    resumes there, where deg u <= deg v."""
+    n = rows.shape[0]
     blocks = rows.view("<u8").reshape(n, rows.shape[1] // 32, 4)
     keep = np.zeros(n, dtype=bool)
     # one void field per row: first occurrences of each distinct row
@@ -252,15 +241,19 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
     rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
     deg = np.zeros(n, dtype=np.int64)
     step = max(1, 2**20 // max(n, 1))
-    pairs = [np.zeros((0, 2), dtype=np.int32)]
     for i0 in range(0, n, step):
-        # degrees and kept non-adjacent pairs (i, j), i < j, of a bounded
-        # block of rows i
+        deg[i0:i0 + step] = unpack_rows(rows[i0:i0 + step], n).sum(axis=1)
+    # kept non-adjacent pairs (i, j), i < j, go into arrays of their known
+    # count: per-block pieces sized by the vertex order fragment the heap
+    k = int(keep.sum())
+    u, v = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2), np.int32)
+    at = 0
+    for i0 in range(0, n, step):
         i = np.arange(i0, min(i0 + step, n))[:, None]
-        deg[i0:i0 + step] = (adj[i0:i0 + step] & keep).sum(axis=1)
-        block = ~adj[i0:i0 + step] & keep & keep[i] & (np.arange(n) > i)
-        pairs.append((np.argwhere(block) + [i0, 0]).astype(np.int32))
-    u, v = np.concatenate(pairs).T
+        adj = unpack_rows(rows[i0:i0 + step], n)
+        bi, bj = np.nonzero(~adj & keep & keep[i] & (np.arange(n) > i))
+        u[at:at + len(bi)], v[at:at + len(bi)] = bi + i0, bj
+        at += len(bi)
     # ptr[:len(u)] tests N(u) within N(v), ptr[len(u):] N(v) within N(u)
     ptr = np.zeros(2 * len(u), dtype=np.intp)
     while len(u):
@@ -276,22 +269,22 @@ def dominated_vertex_mask(adj: np.ndarray) -> np.ndarray:
         keep[gone] = False
         touched = np.unique(gone >> 3)
         rows[:, touched] &= np.packbits(keep, bitorder="little")[touched]
-        deg -= sum(adj[gone[g:g + step]].sum(axis=0)
+        deg -= sum(unpack_rows(rows[gone[g:g + step]], n).sum(axis=0)
                    for g in range(0, len(gone), step))
         alive = keep[u] & keep[v]
         u, v, ptr = u[alive], v[alive], ptr[np.tile(alive, 2)]
     return keep
 
 
-def _solve_clique(mat: np.ndarray, lex_min: bool, t0: float
+def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float
                   ) -> SearchResult:
-    """The search pipeline for a boolean adjacency matrix: dominance
-    reduction, bitset packing, branch and bound.  The witness holds row
-    indices of `mat`; `elapsed` counts from t0."""
-    idx = np.flatnonzero(dominated_vertex_mask(mat))
-    adj = _rows_to_bitsets(mat[np.ix_(idx, idx)])
-    res = max_clique_bitset(adj, len(idx), lex_min=lex_min)
-    res.witness = [int(idx[v]) for v in res.witness]
+    """The search pipeline for packed rows: dominance reduction,
+    Python-int bitsets of the kept rows, branch and bound on the kept set.
+    The witness holds row indices; `elapsed` counts from t0."""
+    keep = dominated_vertex_mask(rows)
+    P = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(),
+                       "little")
+    res = max_clique_bitset(_rows_to_bitsets(rows, keep), P, lex_min)
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -309,36 +302,34 @@ def max_clique(universe: Sequence, predicate: Callable, *,
         for j in range(i + 1, m):
             if predicate(universe[i], universe[j]):
                 mat[i, j] = mat[j, i] = True
-    res = _solve_clique(mat, lex_min, t0)
+    # the predicate's graph is its own power over one-letter walks
+    idx = np.arange(m).reshape(m, 1)
+    res = _solve_clique(power_adjacency(mat, idx, idx), lex_min, t0)
     res.witness = [universe[i] for i in res.witness]
     return res
 
 
 def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
                               ) -> np.ndarray:
-    """Boolean adjacency of arc's coordinatewise power on an array of
+    """Packed-row adjacency of arc's coordinatewise power on an array of
     walks, one per row: u and v are adjacent when some coordinate has an
-    arc from u to v and some coordinate one from v to u.  For a symmetric
-    arc matrix the power is already symmetric, so only a directed one pays
-    for the AND with the transpose."""
-    mat = power_adjacency(arc, walks, walks)
+    arc from u to v and some coordinate one from v to u.  The second is the
+    power of arc.T, built only for a directed arc matrix."""
+    rows = power_adjacency(arc, walks, walks)
     if not np.array_equal(arc, arc.T):
-        mat &= mat.T
-    return mat
+        rows &= power_adjacency(arc.T, walks, walks)
+    return rows
 
 
 def greedy_code(G: ChannelGraph, n: int) -> Code:
     """Maximal pairwise-distinguishable code by greedy scan of the words in
-    lexicographic order, which are first checked against the vertex cap."""
+    lexicographic order, which are first checked against the vertex cap:
+    the greedy clique of the lowest vertices of the words' graph."""
     check_vertex_cap(2**n, "word list")
     words = list(all_words(n))
-    arc = G.arc_matrix()
-    codes = pair_codes(words, n)
-    kept: list[int] = []
-    for i in range(len(words)):
-        if power_adjacency(arc, codes[i:i + 1], codes[kept]).all():
-            kept.append(i)
-    return Code(n, {words[i] for i in kept})
+    rows = distinguishability_matrix(G.arc_matrix(), pair_codes(words, n))
+    adj = _rows_to_bitsets(rows, np.ones(len(words), dtype=bool))
+    return Code(n, {words[v] for v in _greedy_clique(adj, (1 << 2**n) - 1)})
 
 
 def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import zecap.cli
+
 CLI = [sys.executable, "-m", "zecap.cli"]
 
 
@@ -260,6 +262,18 @@ class TestReportCommand:
         assert lines[0] == ("theorem,n,lower_bound,exact,upper_bound,"
                             "analytic_rate,empirical_rate")
         assert len(lines) == 1 + 4 * 3  # 4 theorems, n = 2..4
+
+    @pytest.mark.parametrize("n_max", [15, 10**12])
+    def test_over_cap_exit_4_before_any_row(self, n_max, monkeypatch,
+                                            capsys):
+        # 2^15 words: refused before exact_M runs for n = 2
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_M called")
+
+        monkeypatch.setattr(zecap.cli, "exact_M", refuse)
+        assert zecap.cli.main(["report", "--n-max", str(n_max)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds cap" in err
 
     def test_sandwich_in_rows(self, tmp_path):
         out = tmp_path / "report.csv"

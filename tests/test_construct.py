@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zecap.model import (
     Code,
@@ -41,10 +42,25 @@ class TestPostfixFree:
         assert not postfix_free(MinistringSet(("0", "10")))
 
     def test_odd_run_tail(self):
-        assert postfix_free(ODD_RUN_SET, check_up_to=12)
+        assert postfix_free(ODD_RUN_SET)
 
     def test_no_isolated_ones_tail(self):
-        assert postfix_free(NO_ISOLATED_ONES_SET, check_up_to=12)
+        assert postfix_free(NO_ISOLATED_ONES_SET)
+
+    def test_finite_member_ending_a_long_tail_member(self):
+        # 11111 ends the tail member 01111111, of length 8
+        assert not postfix_free(MinistringSet(("0", "11111"), tail=(2, 3)))
+
+    @settings(max_examples=300)
+    @given(st.sets(st.text("01", min_size=1, max_size=8)
+                   | st.integers(1, 8).map(lambda l: "1" * l), min_size=1),
+           st.none() | st.tuples(st.integers(1, 8), st.integers(1, 4)))
+    def test_matches_a_long_horizon(self, strings, tail):
+        # runs of 1s are drawn often: only they can end a tail member
+        S = MinistringSet(tuple(sorted(strings)), tail=tail)
+        members = S.members_up_to(40)
+        assert postfix_free(S) == (not any(
+            a != b and b.endswith(a) for a in members for b in members))
 
 
 class TestMinistringCode:

@@ -68,6 +68,9 @@ def golden_argvs() -> list[list[str]]:
         argvs.append(["capacity", "--lengths", lengths]
                      + (["--tail", tail] if tail else []))
     argvs.append(["report", "--n-max", "6"])
+    # benchmark size: the packed reduction spans 16 row blocks
+    for channel in ("F", "G", "L", "Q"):
+        argvs.append(["exact", "--channel", channel, "--n", "12"])
     return argvs
 
 

@@ -21,6 +21,7 @@ from zecap.model import (
     pair_shift_digraph,
     parse_channel_spec,
     power_adjacency,
+    unpack_rows,
 )
 from zecap.search import (
     distinguishability_matrix,
@@ -73,8 +74,9 @@ class TestPowerAdjacency:
                       for _ in range(na)], dtype=np.intp).reshape(na, L)
         B = np.array([[rng.randrange(k) for _ in range(L)]
                       for _ in range(nb)], dtype=np.intp).reshape(nb, L)
-        got = power_adjacency(D.arc_matrix(), A, B)
-        assert got.shape == (na, nb)
+        packed = power_adjacency(D.arc_matrix(), A, B)
+        assert packed.shape == (na, -(-nb // 256) * 32)
+        got = unpack_rows(packed, nb)
         for i, j in itertools.product(range(na), range(nb)):
             assert got[i, j] == any(D.has_arc(int(a), int(b))
                                     for a, b in zip(A[i], B[j]))
@@ -82,7 +84,8 @@ class TestPowerAdjacency:
     @given(channels, st.integers(1, 5))
     def test_distinguishability_matrix(self, G, n):
         words = list(all_words(n))
-        mat = distinguishability_matrix(G.arc_matrix(), pair_codes(words, n))
+        mat = unpack_rows(distinguishability_matrix(
+            G.arc_matrix(), pair_codes(words, n)), len(words))
         for i, j in itertools.product(range(len(words)), repeat=2):
             assert mat[i, j] == distinguishable(words[i], words[j], G)
 
@@ -95,7 +98,7 @@ class TestPowerAdjacency:
         k, D, L, na, rng = args
         W = np.array([[rng.randrange(k) for _ in range(L)]
                       for _ in range(na)], dtype=np.intp).reshape(na, L)
-        mat = distinguishability_matrix(D.arc_matrix(), W)
+        mat = unpack_rows(distinguishability_matrix(D.arc_matrix(), W), na)
 
         def forward(u, v):
             return any(D.has_arc(int(a), int(b)) for a, b in zip(u, v))
@@ -103,6 +106,17 @@ class TestPowerAdjacency:
         for i, j in itertools.product(range(na), repeat=2):
             assert mat[i, j] == (forward(W[i], W[j])
                                  and forward(W[j], W[i]))
+
+    @pytest.mark.parametrize("nb", [0, 1, 255, 256, 257])
+    def test_rows_are_padded_with_zeros(self, nb):
+        # every arc is present, so a row is nb ones and then zeros up to a
+        # whole 256-bit block
+        arc = np.ones((3, 3), dtype=bool)
+        rows = power_adjacency(arc, np.zeros((4, 2), dtype=np.intp),
+                               np.zeros((nb, 2), dtype=np.intp))
+        assert rows.shape == (4, -(-nb // 256) * 32)
+        bits = unpack_rows(rows, 8 * rows.shape[1])
+        assert bits[:, :nb].all() and not bits[:, nb:].any()
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_pair_shift_walks_are_the_words_in_order(self, n):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -21,6 +22,7 @@ from zecap.model import (
     enumerate_walks,
     pair_shift_digraph,
     parse_channel_spec,
+    unpack_rows,
 )
 from zecap.search import (
     distinguishability_matrix,
@@ -48,9 +50,18 @@ MANY_ROUNDS_ORBIT = ("00-01;00-10;01-11", "00-10;01-11;10-11",
 
 def word_graph(G, n):
     """The distinguishability graph of the length-n words, n >= 2: G's
-    power over the pair-shift walks of length n-1, in word order."""
+    power over the pair-shift walks of length n-1, in word order, as a
+    boolean matrix."""
     walks = enumerate_walks(pair_shift_digraph(), n - 1)
-    return distinguishability_matrix(G.arc_matrix(), walks)
+    return unpack_rows(distinguishability_matrix(G.arc_matrix(), walks),
+                       2**n)
+
+
+def pack_rows(adj):
+    """A boolean matrix in the packed-row format of `power_adjacency`:
+    little-endian bitsets zero-padded to whole 256-bit blocks."""
+    adj = np.pad(adj, ((0, 0), (0, -adj.shape[1] % 256)))
+    return np.packbits(adj, axis=1, bitorder="little")
 
 
 def subset_oracle_M(G, n):
@@ -223,15 +234,19 @@ class TestDominatedVertexMask:
     def test_matches_reference_on_random_graphs(self, size, kind, density,
                                                 seed):
         adj = random_graph(size, kind, density, seed)
-        np.testing.assert_array_equal(dominated_vertex_mask(adj),
+        rows = pack_rows(adj)
+        keep = dominated_vertex_mask(rows)
+        np.testing.assert_array_equal(keep,
                                       reference_dominated_vertex_mask(adj))
+        # the removed vertices' bits are cleared from every row in place
+        np.testing.assert_array_equal(unpack_rows(rows, size), adj & keep)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_on_every_channel(self, n):
         for G in ALL_CHANNELS:
             adj = word_graph(G, n)
             np.testing.assert_array_equal(
-                dominated_vertex_mask(adj),
+                dominated_vertex_mask(pack_rows(adj)),
                 reference_dominated_vertex_mask(adj), err_msg=G.to_spec())
 
     @pytest.mark.parametrize("spec", ["F", "G", "L", "Q", "00-11", ""])
@@ -240,14 +255,14 @@ class TestDominatedVertexMask:
         # vertices than a block holds
         G = NAMED_CHANNELS.get(spec) or parse_channel_spec(spec)
         adj = word_graph(G, 11)
-        np.testing.assert_array_equal(dominated_vertex_mask(adj),
+        np.testing.assert_array_equal(dominated_vertex_mask(pack_rows(adj)),
                                       reference_dominated_vertex_mask(adj))
 
 
 @pytest.mark.parametrize("lex_min", [True, False])
 def test_edgeless_bitset_seeds_a_vertex(lex_min):
     # the greedy seed of a nonempty universe is at least one vertex
-    res = max_clique_bitset([0] * 5, 5, lex_min=lex_min)
+    res = max_clique_bitset([0] * 5, 0b11111, lex_min=lex_min)
     assert (res.size, res.witness) == (1, [0])
 
 
@@ -255,10 +270,42 @@ def test_clique_witness_skips_no_nodes():
     # on a clique of every vertex the lex-min search is skipped; witness
     # and node count are those of the search without it
     adj = [((1 << 6) - 1) & ~(1 << v) for v in range(6)]
-    plain = max_clique_bitset(adj, 6, lex_min=False)
-    res = max_clique_bitset(adj, 6)
+    plain = max_clique_bitset(adj, (1 << 6) - 1, lex_min=False)
+    res = max_clique_bitset(adj, (1 << 6) - 1)
     assert res.witness == list(range(6)) == plain.witness
     assert res.nodes_explored == plain.nodes_explored
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(0, 24), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 2**24 - 1),
+       lex_min=st.booleans())
+def test_universe_with_holes_matches_compacted_graph(size, density, seed,
+                                                     holes, lex_min):
+    # the search on a universe bitset P is the search on the graph induced
+    # on P with its vertices renumbered in order
+    adj = random_graph(size, "random", density, seed)
+    idx = [v for v in range(size) if not holes >> v & 1]
+
+    def bitsets(mat):
+        return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat]
+
+    got = max_clique_bitset(bitsets(adj), sum(1 << v for v in idx), lex_min)
+    want = max_clique_bitset(bitsets(adj[np.ix_(idx, idx)]),
+                             (1 << len(idx)) - 1, lex_min)
+    assert (got.size, got.nodes_explored) == (want.size, want.nodes_explored)
+    assert got.witness == [idx[v] for v in want.witness]
+
+
+def test_exact_m_holds_no_dense_adjacency():
+    # one N x N bool adjacency at n=12 is 16 MiB
+    tracemalloc.start()
+    try:
+        exact_M(TRIANGLE_F, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 class TestManyRoundsOrbit:
