@@ -123,10 +123,18 @@ def perron_growth(P: Digraph) -> CapacityValue:
     """log2 of the spectral radius of P's adjacency matrix, from all its
     eigenvalues; this is the exponential growth rate of |V^n(P)|.
 
-    Acyclic digraphs (A^k = 0 over the Boolean semiring) return rate 0
-    with root 1.  `residual` is ||A x - lambda x|| of the dominant pair."""
+    Acyclic digraphs return rate 0 with root 1: removing every vertex of
+    out-degree 0, round by round, leaves none of them (a loop is a cycle).
+    `residual` is ||A x - lambda x|| of the dominant pair."""
     mat = P.arc_matrix()
-    if not np.linalg.matrix_power(mat, P.k).any():
+    out = mat.sum(axis=1)
+    alive = np.ones(P.k, dtype=bool)
+    sinks = out == 0
+    while sinks.any():
+        alive &= ~sinks
+        out -= mat[:, sinks].sum(axis=1)
+        sinks = alive & (out == 0)
+    if not alive.any():
         return CapacityValue(root=1.0, rate_bits=0.0, residual=0.0,
                              iterations=0)
     mat = mat.astype(float)

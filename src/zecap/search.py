@@ -202,12 +202,12 @@ def _rows_to_bitsets(rows: np.ndarray, keep: np.ndarray) -> list[int]:
 
 
 def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
-             ptr: np.ndarray, todo: np.ndarray) -> None:
-    """Move ptr[i], for each i in todo, to the first block at or after it
-    where row s[i] has a bit that row t[i] lacks, or to the block count
-    when row s[i] is a subset of row t[i].  Pairs go 2^16 at a time."""
-    for c0 in range(0, len(todo), 2**16):
-        live = todo[c0:c0 + 2**16]
+             ptr: np.ndarray) -> None:
+    """Move each ptr[i] to the first block at or after it where row s[i]
+    has a bit that row t[i] lacks, or to the block count when row s[i] is
+    a subset of row t[i].  Pairs go 2^16 at a time."""
+    for c0 in range(0, len(s), 2**16):
+        live = np.arange(c0, min(c0 + 2**16, len(s)))
         while len(live):
             p = ptr[live]
             hit = (blocks[s[live], p] & ~blocks[t[live], p]).any(axis=1)
@@ -229,9 +229,10 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
 
     Twin classes are cut to their smallest index up front; the other
     non-adjacent pairs are listed once, a bounded block of unpacked rows at
-    a time.  Each pair direction keeps a pointer to its first 256-bit block
-    where N(u) has a vertex N(v) lacks; rows only lose bits, so a round
-    resumes there, where deg u <= deg v."""
+    a time, each as (s, t) with s the one t could cover: the smaller
+    degree, or the larger index of twins.  Its one pointer is the first
+    256-bit block where N(s) has a vertex N(t) lacks; rows only lose whole
+    columns, so a round resumes there, and a pair that flips starts at 0."""
     n = rows.shape[0]
     blocks = rows.view("<u8").reshape(n, rows.shape[1] // 32, 4)
     keep = np.zeros(n, dtype=bool)
@@ -239,31 +240,30 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
                    return_index=True)[1]] = True
     rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
-    deg = np.zeros(n, dtype=np.int64)
+    deg = np.zeros(n, dtype=np.int32)
     step = max(1, 2**20 // max(n, 1))
     for i0 in range(0, n, step):
         deg[i0:i0 + step] = unpack_rows(rows[i0:i0 + step], n).sum(axis=1)
     # kept non-adjacent pairs (i, j), i < j, go into arrays of their known
     # count: per-block pieces sized by the vertex order fragment the heap
     k = int(keep.sum())
-    u, v = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2), np.int32)
+    s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
+                    np.min_scalar_type(n))
     at = 0
     for i0 in range(0, n, step):
         i = np.arange(i0, min(i0 + step, n))[:, None]
         adj = unpack_rows(rows[i0:i0 + step], n)
         bi, bj = np.nonzero(~adj & keep & keep[i] & (np.arange(n) > i))
-        u[at:at + len(bi)], v[at:at + len(bi)] = bi + i0, bj
+        s[at:at + len(bi)], t[at:at + len(bi)] = bi + i0, bj
         at += len(bi)
-    # ptr[:len(u)] tests N(u) within N(v), ptr[len(u):] N(v) within N(u)
-    ptr = np.zeros(2 * len(u), dtype=np.intp)
-    while len(u):
-        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        todo = np.flatnonzero(deg[src] <= deg[dst])
-        _advance(blocks, src, dst, ptr, todo)
-        sub_u, sub_v = (ptr == blocks.shape[1]).reshape(2, -1)
-        # u goes when v strictly covers it; v goes when u covers it,
-        # strictly or as a twin, since v > u
-        gone = np.unique(np.concatenate([u[sub_u & ~sub_v], v[sub_v]]))
+    # the vertex cap bounds the block count by 64
+    ptr = np.zeros(len(s), dtype=np.uint8)
+    while len(s):
+        flip = (deg[s] > deg[t]) | ((deg[s] == deg[t]) & (s < t))
+        s[flip], t[flip] = t[flip], s[flip]
+        ptr[flip] = 0
+        _advance(blocks, s, t, ptr)
+        gone = np.unique(s[ptr == blocks.shape[1]])
         if not len(gone):
             break
         keep[gone] = False
@@ -271,8 +271,8 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
         rows[:, touched] &= np.packbits(keep, bitorder="little")[touched]
         deg -= sum(unpack_rows(rows[gone[g:g + step]], n).sum(axis=0)
                    for g in range(0, len(gone), step))
-        alive = keep[u] & keep[v]
-        u, v, ptr = u[alive], v[alive], ptr[np.tile(alive, 2)]
+        alive = keep[s] & keep[t]
+        s, t, ptr = s[alive], t[alive], ptr[alive]
     return keep
 
 

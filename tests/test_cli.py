@@ -1,17 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import zecap.cli
 
 CLI = [sys.executable, "-m", "zecap.cli"]
+# the child imports the zecap this process imported, installed or not
+SRC = str(Path(zecap.cli.__file__).parents[1])
 
 
 def run_cli(*args, **kwargs):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          **kwargs)
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def record_of(proc):

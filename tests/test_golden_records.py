@@ -71,6 +71,11 @@ def golden_argvs() -> list[list[str]]:
     # benchmark size: the packed reduction spans 16 row blocks
     for channel in ("F", "G", "L", "Q"):
         argvs.append(["exact", "--channel", channel, "--n", "12"])
+    # the channels with the most non-adjacent pairs and the most reduction
+    # rounds, with pointers that resume past the first row block
+    for channel in ("00-11", "01-10", "00-01;00-10;01-11"):
+        for n in range(10, 13):
+            argvs.append(["exact", "--channel", channel, "--n", str(n)])
     return argvs
 
 

@@ -228,7 +228,7 @@ class TestDominatedVertexMask:
     @example(size=65, kind="empty", density=0.0, seed=0)
     @example(size=65, kind="complete", density=0.0, seed=0)
     @example(size=130, kind="twins", density=0.5, seed=0)
-    @given(size=st.sampled_from([0, 1, 2, 63, 64, 65, 130]),
+    @given(size=st.sampled_from([0, 1, 2, 63, 64, 65, 130, 257, 520]),
            kind=st.sampled_from(["random", "empty", "complete", "twins"]),
            density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_on_random_graphs(self, size, kind, density,
@@ -241,7 +241,7 @@ class TestDominatedVertexMask:
         # the removed vertices' bits are cleared from every row in place
         np.testing.assert_array_equal(unpack_rows(rows, size), adj & keep)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_reference_on_every_channel(self, n):
         for G in ALL_CHANNELS:
             adj = word_graph(G, n)
@@ -306,6 +306,18 @@ def test_exact_m_holds_no_dense_adjacency():
     finally:
         tracemalloc.stop()
     assert peak < 2**24
+
+
+def test_exact_m_pairs_fit_in_64_mib():
+    # 00-11 at n=12 has 2.3 million non-adjacent pairs, which the reduction
+    # holds through its rounds, each once with a one-byte pointer
+    tracemalloc.start()
+    try:
+        exact_M(parse_channel_spec("00-11"), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
 
 
 class TestManyRoundsOrbit:
