@@ -13,7 +13,10 @@ Every adjacency is held as the packed rows of `model.power_adjacency`,
 never as an N x N boolean array.  The pipeline removes dominated vertices,
 clearing their bits from the rows in place; turns the kept rows into
 Python-int bitsets; and runs branch and bound with greedy-coloring bounds
-on the kept set, seeded with the greedy clique of its lowest vertices.
+on the kept set.  The root's greedy clique and coloring are taken in the
+row numbering, and when they meet no search runs; otherwise the search
+runs in that numbering or in the kept set's smallest-last (degeneracy)
+numbering, whichever root coloring uses fewer colors.
 In deterministic mode the witness is the lexicographically smallest
 maximum clique among the kept vertices (all of them, with no lex-min
 search, when they form a clique).  That need not be the smallest of the
@@ -97,10 +100,13 @@ class _CliqueKernel:
         self.best = len(seed)
         self.best_set: list[int] = list(seed)
 
-    def expand(self, R: list[int], P: int) -> None:
+    def expand(self, R: list[int], P: int,
+               root: tuple[list[int], list[int]] = ()) -> None:
+        """Branch on the vertices of P, last color class first; `root` is
+        P's coloring when the caller already holds it."""
         self.nodes += 1
         adj = self.adj
-        order, colors = _color_classes(adj, P)
+        order, colors = root or _color_classes(adj, P)
         depth = len(R)
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= self.best:
@@ -152,31 +158,76 @@ def _has_clique_of_size(adj: list[int], P: int, need: int,
     return False
 
 
-def _lex_min_witness(adj: list[int], P: int, size: int,
-                     nodes: list[int]) -> list[int]:
-    """Lexicographically smallest clique of the known maximum size inside
-    bitset P, built by confirming one vertex at a time, lowest first, with
-    decision searches; `scan` holds the members of P not yet tried."""
+def _lex_min_witness(adj: list[int], P: int, size: int, nodes: list[int],
+                     scan: Sequence[int]) -> list[int]:
+    """The clique of the known maximum size inside bitset P that comes
+    first in the order of `scan`, which lists P's members: each member in
+    turn is kept when a decision search finds a clique of that size through
+    it and the members kept so far."""
     chosen: list[int] = []
-    scan = P
-    while len(chosen) < size:
-        v = (scan & -scan).bit_length() - 1
-        scan &= ~(1 << v)
-        if _has_clique_of_size(adj, P & adj[v], size - len(chosen) - 1,
-                               nodes):
+    for v in scan:
+        if len(chosen) == size:
+            break
+        if P >> v & 1 and _has_clique_of_size(
+                adj, P & adj[v], size - len(chosen) - 1, nodes):
             chosen.append(v)
             P &= adj[v]
-            scan &= adj[v]
     return chosen
+
+
+def _members(P: int) -> list[int]:
+    """The set bits of P, ascending."""
+    bits = np.frombuffer(P.to_bytes((P.bit_length() + 7) // 8, "little"),
+                         np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist()
+
+
+def _degeneracy_bitsets(adj: list[int], P: int
+                        ) -> tuple[list[int], list[int]]:
+    """The smallest-last numbering of the graph that adj induces on P: a
+    least-degree vertex is removed again and again, the highest first on
+    ties, and the last one removed gets number 0.  Returns the vertex of
+    each number and the rows as bitsets over the numbers 0..|P|-1."""
+    verts = _members(P)
+    n, width = len(verts), (P.bit_length() + 7) // 8
+    step = max(1, 2**20 // (8 * width))
+    rows = np.empty((n, (n + 7) // 8), np.uint8)
+    for i in range(0, n, step):
+        full = np.frombuffer(b"".join((adj[v] & P).to_bytes(width, "little")
+                                      for v in verts[i:i + step]), np.uint8)
+        rows[i:i + step] = np.packbits(
+            unpack_rows(full.reshape(-1, width), 8 * width)[:, verts],
+            axis=1, bitorder="little")
+    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    order = np.empty(n, np.intp)
+    for i in range(n - 1, -1, -1):
+        v = n - 1 - int(np.argmin(deg[::-1]))
+        order[i] = v
+        deg -= unpack_rows(rows[v:v + 1], n)[0]
+        # above every live degree for the n - 1 decrements still to come
+        deg[v] = 2 * n
+    bitsets: list[int] = []
+    step = max(1, 2**20 // n)
+    for i in range(0, n, step):
+        block = np.packbits(unpack_rows(rows[order[i:i + step]], n)[:, order],
+                            axis=1, bitorder="little")
+        bitsets += [int.from_bytes(row.tobytes(), "little") for row in block]
+    return [verts[v] for v in order], bitsets
 
 
 def max_clique_bitset(adj: list[int], P: int, lex_min: bool = True
                       ) -> SearchResult:
     """Exact maximum clique of the graph that bitset rows adj induce on
-    the universe bitset P (rows need not be cleared outside P).  The greedy
-    clique of the lowest vertices is the initial incumbent; `lex_min` then
-    replaces the witness by the lexicographically smallest maximum clique
-    (deterministic mode)."""
+    the universe bitset P (rows need not be cleared outside P).
+
+    The greedy clique and greedy coloring of P in the given numbering come
+    first; when they meet, the root closes.  Otherwise P is renumbered
+    smallest-last (`_degeneracy_bitsets`) onto |P| bits, and branch and
+    bound runs in whichever numbering's root coloring uses fewer colors,
+    the given one on a tie, seeded with the larger greedy clique.  `lex_min`
+    then replaces the witness by the lexicographically smallest maximum
+    clique (deterministic mode), decided in the search's numbering with
+    the candidates tried in index order."""
     n = P.bit_count()
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
@@ -184,13 +235,33 @@ def max_clique_bitset(adj: list[int], P: int, lex_min: bool = True
     t0 = time.perf_counter()
     if n == 0:
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
-    kern = _CliqueKernel(adj, _greedy_clique(adj, P))
-    kern.expand([], P)
+    seed = _greedy_clique(adj, P)
+    root = _color_classes(adj, P)
+    label = None  # the index of each vertex of a renumbered search
+    if root[1][-1] > len(seed):
+        label, sl_adj = _degeneracy_bitsets(adj, P)
+        sl_P = (1 << n) - 1
+        sl_seed = _greedy_clique(sl_adj, sl_P)
+        if len(sl_seed) > len(seed):
+            seed = [label[v] for v in sl_seed]
+        sl_root = _color_classes(sl_adj, sl_P)
+        if sl_root[1][-1] < root[1][-1]:
+            number = {v: i for i, v in enumerate(label)}
+            seed = [number[v] for v in seed]
+            adj, P, root = sl_adj, sl_P, sl_root
+        else:
+            label = None
+    kern = _CliqueKernel(adj, seed)
+    kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
         # a clique of all n vertices is the only maximum clique
-        witness = _lex_min_witness(adj, P, kern.best, nodes)
+        scan = (_members(P) if label is None
+                else sorted(range(n), key=label.__getitem__))
+        witness = _lex_min_witness(adj, P, kern.best, nodes, scan)
+    if label is not None:
+        witness = [label[v] for v in witness]
     return SearchResult(kern.best, sorted(witness), nodes[0],
                         time.perf_counter() - t0, lex_min)
 

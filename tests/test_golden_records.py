@@ -1,9 +1,10 @@
 """Golden CLI records: a fixed set of zecap invocations whose JSON records
 must stay byte-identical (with `elapsed_ms` zeroed) across refactors.
 
-Regenerate the golden file with `python tests/test_golden_records.py`; a
-regenerated file belongs in a commit only with every changed record
-explained in CHANGES.md.
+Regenerate the golden file with `python tests/test_golden_records.py`,
+which first prints each changed record's argv and its changed output keys,
+old -> new; a regenerated file belongs in a commit only with every changed
+record explained in CHANGES.md.
 """
 
 import contextlib
@@ -76,6 +77,15 @@ def golden_argvs() -> list[list[str]]:
     for channel in ("00-11", "01-10", "00-01;00-10;01-11"):
         for n in range(10, 13):
             argvs.append(["exact", "--channel", channel, "--n", str(n)])
+    # Sperner instances that branch in the given numbering: the pentagon by
+    # name and the hexagon in K6, both digraphs as arc specs
+    argvs.append(["sperner", "--digraph", "C5sym", "--type", "K5",
+                  "--k", "5", "--n", "3"])
+    hexagon = ";".join(f"{a}>{b}" for v in range(6)
+                       for a, b in ((v, (v + 1) % 6), ((v + 1) % 6, v)))
+    k6 = ";".join(f"{a}>{b}" for a in range(6) for b in range(6) if a != b)
+    argvs.append(["sperner", "--digraph", hexagon, "--type", k6,
+                  "--k", "6", "--n", "3"])
     return argvs
 
 
@@ -108,7 +118,28 @@ def test_golden_records(tmp_path, monkeypatch):
         assert golden_line(argv) == line, " ".join(argv)
 
 
+def changes(old_lines: list[str], new_lines: list[str]) -> list[str]:
+    """For each record whose argv is in both files and whose exit code or
+    outputs differ: its argv, then each changed key as old -> new."""
+    before = {tuple(rec["argv"]): rec
+              for rec in map(json.loads, old_lines)}
+    out = []
+    for rec in map(json.loads, new_lines):
+        prev = before.get(tuple(rec["argv"]))
+        if prev is None:
+            continue
+        old = {"exit": prev["exit"], **prev["record"]["outputs"]}
+        new = {"exit": rec["exit"], **rec["record"]["outputs"]}
+        keys = [k for k in sorted(old.keys() | new.keys())
+                if old.get(k) != new.get(k)]
+        if keys:
+            out.append(" ".join(rec["argv"]))
+            out += [f"  {k}: {old.get(k)} -> {new.get(k)}" for k in keys]
+    return out
+
+
 if __name__ == "__main__":
+    previous = GOLDEN.read_text().splitlines() if GOLDEN.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
         write_verify_files(Path(tmp))
         here = os.getcwd()
@@ -117,5 +148,7 @@ if __name__ == "__main__":
             lines = [golden_line(argv) for argv in golden_argvs()]
         finally:
             os.chdir(here)
+    sys.stdout.write("".join(line + "\n"
+                             for line in changes(previous, lines)))
     GOLDEN.write_text("".join(line + "\n" for line in lines))
     sys.stdout.write(f"wrote {len(lines)} records to {GOLDEN}\n")

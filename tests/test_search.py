@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zecap.model import (
+    Digraph,
     FIBONACCI_DIGRAPH,
     MAX_VERTICES,
     NAMED_CHANNELS,
@@ -25,6 +26,7 @@ from zecap.model import (
     unpack_rows,
 )
 from zecap.search import (
+    _degeneracy_bitsets,
     distinguishability_matrix,
     dominated_vertex_mask,
     exact_M,
@@ -297,6 +299,91 @@ def test_universe_with_holes_matches_compacted_graph(size, density, seed,
     assert got.witness == [idx[v] for v in want.witness]
 
 
+# the examples: searches in the smallest-last numbering, one whose root
+# closes there, and one in the given numbering seeded from the other
+@settings(max_examples=200, deadline=None)
+@example(size=40, kind="random", density=0.5, seed=0, holes=0, lex_min=True)
+@example(size=40, kind="random", density=0.6, seed=1, holes=0xF0F0F,
+         lex_min=False)
+@example(size=40, kind="twins", density=0.6, seed=1, holes=0, lex_min=True)
+@example(size=40, kind="random", density=0.5, seed=2, holes=0, lex_min=True)
+@given(size=st.integers(0, 40),
+       kind=st.sampled_from(["random", "empty", "complete", "twins"]),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       holes=st.integers(0, 2**40 - 1), lex_min=st.booleans())
+def test_max_clique_bitset_matches_networkx(size, kind, density, seed, holes,
+                                            lex_min):
+    adj = random_graph(size, kind, density, seed)
+    idx = [v for v in range(size) if not holes >> v & 1]
+    rows = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+    res = max_clique_bitset(rows, sum(1 << v for v in idx), lex_min)
+    cliques = [sorted(c) for c in nx.find_cliques(
+        nx.from_numpy_array(adj).subgraph(idx))]
+    omega = max(map(len, cliques), default=0)
+    assert res.size == omega == len(res.witness)
+    if lex_min:
+        assert res.witness == min((c for c in cliques if len(c) == omega),
+                                  default=[])
+    else:
+        assert set(res.witness) <= set(idx)
+        assert all(adj[u, v] for u, v in itertools.combinations(
+            res.witness, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 40),
+       kind=st.sampled_from(["random", "empty", "complete", "twins"]),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       holes=st.integers(0, 2**40 - 1))
+def test_degeneracy_bitsets_match_smallest_last_loop(size, kind, density,
+                                                     seed, holes):
+    adj = random_graph(size, kind, density, seed)
+    idx = [v for v in range(size) if not holes >> v & 1] or [0]
+    alive, removed = set(idx), []
+    while alive:
+        v = min(alive, key=lambda u: (adj[u, list(alive)].sum(), -u))
+        removed.append(v)
+        alive.remove(v)
+    rows = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+    label, bitsets = _degeneracy_bitsets(rows, sum(1 << v for v in idx))
+    assert label == removed[::-1]
+    assert bitsets == [sum(1 << j for j, u in enumerate(label) if adj[v, u])
+                       for v in label]
+
+
+def relabelings(D, k):
+    """Every distinct digraph obtained by relabeling D's vertices."""
+    return list({frozenset((p[a], p[b]) for a, b in D.arcs): None
+                 for p in itertools.permutations(range(k))})
+
+
+def test_hexagon_nodes_do_not_depend_on_labels():
+    # the given numbering took 1 to 1 477 504 nodes across these
+    results = [omega_s(Digraph(6, arcs), complete_digraph(6), 3)
+               for arcs in relabelings(cycle_sym_digraph(6), 6)]
+    assert len(results) == 60
+    assert {(r.size, r.nodes_explored) for r in results} \
+        == {(8, results[0].nodes_explored)}
+
+
+def arc01_fibonacci(n, swap=False):
+    arcs, fib = {(0, 1)}, {(0, 0), (0, 1), (1, 0)}
+    if swap:
+        arcs, fib = ({(1 - a, 1 - b) for a, b in g} for g in (arcs, fib))
+    return omega_s(Digraph(2, frozenset(arcs)), Digraph(2, frozenset(fib)),
+                   n)
+
+
+def test_swapped_arc01_fibonacci_nodes():
+    # the search in the given numbering took 73 543 nodes
+    assert arc01_fibonacci(12, swap=True).nodes_explored < 73_543
+
+
+def test_arc01_fibonacci_nodes():
+    # the search in the given numbering took 9 984 nodes
+    assert arc01_fibonacci(11).nodes_explored <= 9_984
+
+
 def test_exact_m_holds_no_dense_adjacency():
     # one N x N bool adjacency at n=12 is 16 MiB
     tracemalloc.start()
@@ -415,7 +502,6 @@ class TestOmegaS:
             omega_s(SINGLE_ARC_DIGRAPH, complete_digraph(5), 2)
 
     def test_loops_ignored(self):
-        from zecap.model import Digraph
         with_loop = Digraph(2, frozenset({(0, 1), (0, 0), (1, 1)}))
         a = omega_s(with_loop, FIBONACCI_DIGRAPH, 4)
         b = omega_s(SINGLE_ARC_DIGRAPH, FIBONACCI_DIGRAPH, 4)
