@@ -82,8 +82,9 @@ def solve_characteristic(eq: CharacteristicEquation,
                          tol: float = DEFAULT_TOL) -> CapacityValue:
     """Unique root of E(x) = 1 in (0,1) by bracketed bisection; the rate is
     log2(1/root)."""
-    if tol <= 0:
-        raise SpecError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise SpecError(f"tolerance must be a finite positive number, "
+                        f"not {tol}")
     if not eq.has_root():
         raise NoRootError(f"E(1-) <= 1 for head {eq.head}; no root in (0,1)")
     lo, hi = 0.0, 1.0

@@ -93,8 +93,13 @@ def read_word_file(path: str) -> Code:
         words = [line.rstrip("\n") for line in fh if line.strip()]
     if not words:
         raise SpecError(f"no words in {path}")
-    n = len(words[0])
-    return Code(n, set(words))
+    seen: set[str] = set()
+    for w in words:
+        # two equal codewords can never be told apart
+        if w in seen:
+            raise SpecError(f"word {w!r} repeats in {path}")
+        seen.add(w)
+    return Code(len(words[0]), seen)
 
 
 def write_word_file(path: str, code: Code) -> None:

@@ -11,12 +11,14 @@ size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
 never as an N x N boolean array.  The pipeline removes dominated vertices,
-clearing their bits from the rows in place; turns the kept rows into
-Python-int bitsets; and runs branch and bound with greedy-coloring bounds
-on the kept set.  The root's greedy clique and coloring are taken in the
-row numbering, and when they meet no search runs; otherwise the search
-runs in that numbering or in the kept set's smallest-last (degeneracy)
-numbering, whichever root coloring uses fewer colors.
+clearing their bits from the rows in place; compacts the kept set once
+into the packed rows of the graph it induces (`_induced_rows`); and runs
+branch and bound with greedy-coloring bounds on Python-int bitsets of
+those rows.  Each numbering of the search is one permutation of the kept
+vertices: their row order, or their smallest-last (degeneracy) order.  The
+root's greedy clique and coloring are taken in row order, and when they
+meet no search runs; otherwise the search runs in whichever numbering's
+root coloring uses fewer colors.
 In deterministic mode the witness is the lexicographically smallest
 maximum clique among the kept vertices (all of them, with no lex-min
 search, when they form a clique).  That need not be the smallest of the
@@ -175,30 +177,30 @@ def _lex_min_witness(adj: list[int], P: int, size: int, nodes: list[int],
     return chosen
 
 
-def _members(P: int) -> list[int]:
-    """The set bits of P, ascending."""
-    bits = np.frombuffer(P.to_bytes((P.bit_length() + 7) // 8, "little"),
-                         np.uint8)
-    return np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist()
+def _rows_to_bitsets(rows: np.ndarray) -> list[int]:
+    """Python-int bitsets of packed rows."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _degeneracy_bitsets(adj: list[int], P: int
-                        ) -> tuple[list[int], list[int]]:
-    """The smallest-last numbering of the graph that adj induces on P: a
-    least-degree vertex is removed again and again, the highest first on
-    ties, and the last one removed gets number 0.  Returns the vertex of
-    each number and the rows as bitsets over the numbers 0..|P|-1."""
-    verts = _members(P)
-    n, width = len(verts), (P.bit_length() + 7) // 8
-    step = max(1, 2**20 // (8 * width))
-    rows = np.empty((n, (n + 7) // 8), np.uint8)
+def _induced_rows(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Packed rows of the graph that `rows` induce on the vertices `verts`,
+    verts[i] numbered i, built a bounded block of unpacked rows at a time."""
+    n, N = len(verts), rows.shape[0]
+    out = np.zeros((n, -(-n // 256) * 32), np.uint8)
+    step = max(1, 2**20 // max(N, 1))
     for i in range(0, n, step):
-        full = np.frombuffer(b"".join((adj[v] & P).to_bytes(width, "little")
-                                      for v in verts[i:i + step]), np.uint8)
-        rows[i:i + step] = np.packbits(
-            unpack_rows(full.reshape(-1, width), 8 * width)[:, verts],
+        out[i:i + step, :(n + 7) // 8] = np.packbits(
+            unpack_rows(rows[verts[i:i + step]], N)[:, verts],
             axis=1, bitorder="little")
-    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    return out
+
+
+def _smallest_last(rows: np.ndarray) -> np.ndarray:
+    """The smallest-last order of the graph on packed rows: a least-degree
+    vertex is removed again and again, the highest first on ties, and the
+    last one removed comes first."""
+    n = rows.shape[0]
+    deg = np.bitwise_count(rows.view("<u8")).sum(axis=1, dtype=np.int64)
     order = np.empty(n, np.intp)
     for i in range(n - 1, -1, -1):
         v = n - 1 - int(np.argmin(deg[::-1]))
@@ -206,70 +208,54 @@ def _degeneracy_bitsets(adj: list[int], P: int
         deg -= unpack_rows(rows[v:v + 1], n)[0]
         # above every live degree for the n - 1 decrements still to come
         deg[v] = 2 * n
-    bitsets: list[int] = []
-    step = max(1, 2**20 // n)
-    for i in range(0, n, step):
-        block = np.packbits(unpack_rows(rows[order[i:i + step]], n)[:, order],
-                            axis=1, bitorder="little")
-        bitsets += [int.from_bytes(row.tobytes(), "little") for row in block]
-    return [verts[v] for v in order], bitsets
+    return order
 
 
-def max_clique_bitset(adj: list[int], P: int, lex_min: bool = True
+def max_clique_bitset(rows: np.ndarray, lex_min: bool = True
                       ) -> SearchResult:
-    """Exact maximum clique of the graph that bitset rows adj induce on
-    the universe bitset P (rows need not be cleared outside P).
+    """Exact maximum clique of the graph on the packed rows of vertices
+    0..n-1.
 
-    The greedy clique and greedy coloring of P in the given numbering come
-    first; when they meet, the root closes.  Otherwise P is renumbered
-    smallest-last (`_degeneracy_bitsets`) onto |P| bits, and branch and
-    bound runs in whichever numbering's root coloring uses fewer colors,
-    the given one on a tie, seeded with the larger greedy clique.  `lex_min`
-    then replaces the witness by the lexicographically smallest maximum
-    clique (deterministic mode), decided in the search's numbering with
-    the candidates tried in index order."""
-    n = P.bit_count()
+    The search runs in one of two numberings, each a permutation `order`
+    whose i-th vertex gets number i: the given one, or the smallest-last
+    one of `_smallest_last`.  The greedy clique and greedy coloring in the
+    given numbering come first; when they meet, the root closes.
+    Otherwise branch and bound runs in whichever numbering's root coloring
+    uses fewer colors, the given one on a tie, seeded with the larger
+    greedy clique.  `lex_min` then replaces the witness by the
+    lexicographically smallest maximum clique (deterministic mode), decided
+    in the search's numbering with the candidates tried in vertex order."""
+    n = rows.shape[0]
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
         sys.setrecursionlimit(n + 1000)
     t0 = time.perf_counter()
     if n == 0:
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
+    P = (1 << n) - 1
+    order = np.arange(n)
+    adj = _rows_to_bitsets(rows)
     seed = _greedy_clique(adj, P)
     root = _color_classes(adj, P)
-    label = None  # the index of each vertex of a renumbered search
     if root[1][-1] > len(seed):
-        label, sl_adj = _degeneracy_bitsets(adj, P)
-        sl_P = (1 << n) - 1
-        sl_seed = _greedy_clique(sl_adj, sl_P)
+        sl_order = _smallest_last(rows)
+        sl_adj = _rows_to_bitsets(_induced_rows(rows, sl_order))
+        sl_seed = sl_order[_greedy_clique(sl_adj, P)].tolist()
         if len(sl_seed) > len(seed):
-            seed = [label[v] for v in sl_seed]
-        sl_root = _color_classes(sl_adj, sl_P)
+            seed = sl_seed
+        sl_root = _color_classes(sl_adj, P)
         if sl_root[1][-1] < root[1][-1]:
-            number = {v: i for i, v in enumerate(label)}
-            seed = [number[v] for v in seed]
-            adj, P, root = sl_adj, sl_P, sl_root
-        else:
-            label = None
-    kern = _CliqueKernel(adj, seed)
+            order, adj, root = sl_order, sl_adj, sl_root
+    rank = np.argsort(order)  # the number of each vertex
+    kern = _CliqueKernel(adj, rank[seed].tolist())
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
         # a clique of all n vertices is the only maximum clique
-        scan = (_members(P) if label is None
-                else sorted(range(n), key=label.__getitem__))
-        witness = _lex_min_witness(adj, P, kern.best, nodes, scan)
-    if label is not None:
-        witness = [label[v] for v in witness]
-    return SearchResult(kern.best, sorted(witness), nodes[0],
+        witness = _lex_min_witness(adj, P, kern.best, nodes, rank.tolist())
+    return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
                         time.perf_counter() - t0, lex_min)
-
-
-def _rows_to_bitsets(rows: np.ndarray, keep: np.ndarray) -> list[int]:
-    """Python-int bitsets of the rows marked in keep, 0 for the others."""
-    return [int.from_bytes(row.tobytes(), "little") if kept else 0
-            for row, kept in zip(rows, keep)]
 
 
 def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
@@ -311,10 +297,8 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
                    return_index=True)[1]] = True
     rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
-    deg = np.zeros(n, dtype=np.int32)
+    deg = np.bitwise_count(rows.view("<u8")).sum(axis=1, dtype=np.int32)
     step = max(1, 2**20 // max(n, 1))
-    for i0 in range(0, n, step):
-        deg[i0:i0 + step] = unpack_rows(rows[i0:i0 + step], n).sum(axis=1)
     # kept non-adjacent pairs (i, j), i < j, go into arrays of their known
     # count: per-block pieces sized by the vertex order fragment the heap
     k = int(keep.sum())
@@ -330,9 +314,14 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     # the vertex cap bounds the block count by 64
     ptr = np.zeros(len(s), dtype=np.uint8)
     while len(s):
-        flip = (deg[s] > deg[t]) | ((deg[s] == deg[t]) & (s < t))
-        s[flip], t[flip] = t[flip], s[flip]
-        ptr[flip] = 0
+        # re-orient in place, 2^14 pairs at a time, so the degree
+        # gathers stay small beside the pairs
+        for c0 in range(0, len(s), 2**14):
+            cs, ct, cp = (a[c0:c0 + 2**14] for a in (s, t, ptr))
+            ds, dt = deg[cs], deg[ct]
+            flip = (ds > dt) | ((ds == dt) & (cs < ct))
+            cs[flip], ct[flip] = ct[flip], cs[flip]
+            cp[flip] = 0
         _advance(blocks, s, t, ptr)
         gone = np.unique(s[ptr == blocks.shape[1]])
         if not len(gone):
@@ -349,13 +338,14 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
 
 def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float
                   ) -> SearchResult:
-    """The search pipeline for packed rows: dominance reduction,
-    Python-int bitsets of the kept rows, branch and bound on the kept set.
+    """The search pipeline for packed rows: dominance reduction, the
+    packed rows of the kept set compacted once, branch and bound on them.
     The witness holds row indices; `elapsed` counts from t0."""
-    keep = dominated_vertex_mask(rows)
-    P = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(),
-                       "little")
-    res = max_clique_bitset(_rows_to_bitsets(rows, keep), P, lex_min)
+    kept = np.flatnonzero(dominated_vertex_mask(rows))
+    # the full rows are let go before the search
+    rows = _induced_rows(rows, kept)
+    res = max_clique_bitset(rows, lex_min)
+    res.witness = kept[res.witness].tolist()
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -399,7 +389,7 @@ def greedy_code(G: ChannelGraph, n: int) -> Code:
     check_vertex_cap(2**n, "word list")
     words = list(all_words(n))
     rows = distinguishability_matrix(G.arc_matrix(), pair_codes(words, n))
-    adj = _rows_to_bitsets(rows, np.ones(len(words), dtype=bool))
+    adj = _rows_to_bitsets(rows)
     return Code(n, {words[v] for v in _greedy_clique(adj, (1 << 2**n) - 1)})
 
 

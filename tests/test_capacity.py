@@ -67,6 +67,13 @@ class TestSolveCharacteristic:
         with pytest.raises(SpecError):
             solve_characteristic(CharacteristicEquation((1, 2)), tol=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_tol(self, tol):
+        # nan never meets the test and inf meets it at the first midpoint
+        with pytest.raises(SpecError, match="finite positive"):
+            solve_characteristic(CharacteristicEquation((1, 2)), tol=tol)
+
     def test_tail_closed_form_matches_truncation(self):
         eq = CharacteristicEquation((1,), tail=(2, 2))
         x = 0.5

@@ -47,6 +47,12 @@ class TestCapacityCommand:
     def test_no_root_exit_2(self):
         assert run_cli("capacity", "--lengths", "3").returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, tol):
+        proc = run_cli("capacity", "--lengths", "1,2", "--tol", tol)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "finite positive" in proc.stderr
+
 
 class TestExactCommand:
     def test_triangle_n2(self):
@@ -175,6 +181,14 @@ class TestVerifyCommand:
         code.write_text("0110\n")
         assert run_cli("verify", "--code", str(code),
                        "--channel", "F").returncode == 0
+
+    def test_repeated_word_exit_2(self, tmp_path):
+        # two equal codewords are never distinguishable
+        code = tmp_path / "twice.txt"
+        code.write_text("0101\n0011\n0101\n")
+        proc = run_cli("verify", "--code", str(code), "--channel", "F")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "'0101' repeats" in proc.stderr
 
     def test_missing_file_exit_2(self):
         assert run_cli("verify", "--code", "/nonexistent",

@@ -25,8 +25,10 @@ from zecap.model import (
     parse_channel_spec,
     unpack_rows,
 )
+import zecap.search
 from zecap.search import (
-    _degeneracy_bitsets,
+    _induced_rows,
+    _smallest_last,
     distinguishability_matrix,
     dominated_vertex_mask,
     exact_M,
@@ -263,40 +265,54 @@ class TestDominatedVertexMask:
 
 @pytest.mark.parametrize("lex_min", [True, False])
 def test_edgeless_bitset_seeds_a_vertex(lex_min):
-    # the greedy seed of a nonempty universe is at least one vertex
-    res = max_clique_bitset([0] * 5, 0b11111, lex_min=lex_min)
+    # the greedy seed of a nonempty graph is at least one vertex
+    res = max_clique_bitset(pack_rows(np.zeros((5, 5), bool)), lex_min)
     assert (res.size, res.witness) == (1, [0])
 
 
 def test_clique_witness_skips_no_nodes():
     # on a clique of every vertex the lex-min search is skipped; witness
     # and node count are those of the search without it
-    adj = [((1 << 6) - 1) & ~(1 << v) for v in range(6)]
-    plain = max_clique_bitset(adj, (1 << 6) - 1, lex_min=False)
-    res = max_clique_bitset(adj, (1 << 6) - 1)
+    rows = pack_rows(~np.eye(6, dtype=bool))
+    plain = max_clique_bitset(rows, lex_min=False)
+    res = max_clique_bitset(rows)
     assert res.witness == list(range(6)) == plain.witness
     assert res.nodes_explored == plain.nodes_explored
 
 
+# the example unpacks its 2100-vertex rows 499 at a time
 @settings(max_examples=100, deadline=None)
-@given(size=st.integers(0, 24), density=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 2**24 - 1),
-       lex_min=st.booleans())
-def test_universe_with_holes_matches_compacted_graph(size, density, seed,
-                                                     holes, lex_min):
-    # the search on a universe bitset P is the search on the graph induced
-    # on P with its vertices renumbered in order
+@example(size=2100, density=0.3, seed=0, drop=0.3, shuffle=True)
+@given(size=st.integers(0, 300), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), drop=st.floats(0.0, 1.0),
+       shuffle=st.booleans())
+def test_induced_rows_matches_submatrix(size, density, seed, drop, shuffle):
+    # verts is a subset in order or a permutation of one; the rows come
+    # out in the packed-row format, padding included
     adj = random_graph(size, "random", density, seed)
-    idx = [v for v in range(size) if not holes >> v & 1]
+    rng = np.random.default_rng(seed)
+    verts = np.flatnonzero(rng.random(size) >= drop)
+    if shuffle:
+        verts = rng.permutation(verts)
+    np.testing.assert_array_equal(_induced_rows(pack_rows(adj), verts),
+                                  pack_rows(adj[np.ix_(verts, verts)]))
 
-    def bitsets(mat):
-        return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat]
 
-    got = max_clique_bitset(bitsets(adj), sum(1 << v for v in idx), lex_min)
-    want = max_clique_bitset(bitsets(adj[np.ix_(idx, idx)]),
-                             (1 << len(idx)) - 1, lex_min)
-    assert (got.size, got.nodes_explored) == (want.size, want.nodes_explored)
-    assert got.witness == [idx[v] for v in want.witness]
+def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
+    # F under bit complement at n=12 keeps 1201 of 4096 words, a clique;
+    # each of its rows is a 1201-bit int, not a 4096-bit one
+    handed = []
+    pack = zecap.search._rows_to_bitsets
+
+    def spy(rows):
+        handed.append(pack(rows))
+        return handed[-1]
+
+    monkeypatch.setattr(zecap.search, "_rows_to_bitsets", spy)
+    res = exact_M(parse_channel_spec("01-10;01-11;10-11"), 12)
+    assert res.size == 1201
+    assert [len(adj) for adj in handed] == [1201]
+    assert all(0 <= v < 2**1201 for v in handed[0])
 
 
 # the examples: searches in the smallest-last numbering, one whose root
@@ -313,19 +329,19 @@ def test_universe_with_holes_matches_compacted_graph(size, density, seed,
        holes=st.integers(0, 2**40 - 1), lex_min=st.booleans())
 def test_max_clique_bitset_matches_networkx(size, kind, density, seed, holes,
                                             lex_min):
+    # the graph is the one a random graph induces on the vertices outside
+    # `holes`, numbered in order
     adj = random_graph(size, kind, density, seed)
     idx = [v for v in range(size) if not holes >> v & 1]
-    rows = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
-    res = max_clique_bitset(rows, sum(1 << v for v in idx), lex_min)
-    cliques = [sorted(c) for c in nx.find_cliques(
-        nx.from_numpy_array(adj).subgraph(idx))]
+    adj = adj[np.ix_(idx, idx)]
+    res = max_clique_bitset(pack_rows(adj), lex_min)
+    cliques = [sorted(c) for c in nx.find_cliques(nx.from_numpy_array(adj))]
     omega = max(map(len, cliques), default=0)
     assert res.size == omega == len(res.witness)
     if lex_min:
         assert res.witness == min((c for c in cliques if len(c) == omega),
                                   default=[])
     else:
-        assert set(res.witness) <= set(idx)
         assert all(adj[u, v] for u, v in itertools.combinations(
             res.witness, 2))
 
@@ -333,22 +349,15 @@ def test_max_clique_bitset_matches_networkx(size, kind, density, seed, holes,
 @settings(max_examples=100, deadline=None)
 @given(size=st.integers(1, 40),
        kind=st.sampled_from(["random", "empty", "complete", "twins"]),
-       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-       holes=st.integers(0, 2**40 - 1))
-def test_degeneracy_bitsets_match_smallest_last_loop(size, kind, density,
-                                                     seed, holes):
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_smallest_last_matches_plain_loop(size, kind, density, seed):
     adj = random_graph(size, kind, density, seed)
-    idx = [v for v in range(size) if not holes >> v & 1] or [0]
-    alive, removed = set(idx), []
+    alive, removed = set(range(size)), []
     while alive:
         v = min(alive, key=lambda u: (adj[u, list(alive)].sum(), -u))
         removed.append(v)
         alive.remove(v)
-    rows = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
-    label, bitsets = _degeneracy_bitsets(rows, sum(1 << v for v in idx))
-    assert label == removed[::-1]
-    assert bitsets == [sum(1 << j for j, u in enumerate(label) if adj[v, u])
-                       for v in label]
+    assert _smallest_last(pack_rows(adj)).tolist() == removed[::-1]
 
 
 def relabelings(D, k):
@@ -395,16 +404,17 @@ def test_exact_m_holds_no_dense_adjacency():
     assert peak < 2**24
 
 
-def test_exact_m_pairs_fit_in_64_mib():
+def test_exact_m_pairs_fit_in_32_mib():
     # 00-11 at n=12 has 2.3 million non-adjacent pairs, which the reduction
-    # holds through its rounds, each once with a one-byte pointer
+    # holds through its rounds, each once with a one-byte pointer, and
+    # re-orients a bounded chunk at a time
     tracemalloc.start()
     try:
         exact_M(parse_channel_spec("00-11"), 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**26
+    assert peak < 2**25
 
 
 class TestManyRoundsOrbit:
