@@ -10,15 +10,17 @@ One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
 size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
-never as an N x N boolean array.  The pipeline removes dominated vertices,
-clearing their bits from the rows in place; compacts the kept set once
-into the packed rows of the graph it induces (`_induced_rows`); and runs
-branch and bound with greedy-coloring bounds on Python-int bitsets of
-those rows.  Each numbering of the search is one permutation of the kept
-vertices: their row order, or their smallest-last (degeneracy) order.  The
-root's greedy clique and coloring are taken in row order, and when they
-meet no search runs; otherwise the search runs in whichever numbering's
-root coloring uses fewer colors.
+never as an N x N boolean array.  The pipeline removes dominated vertices
+on the rows' uint64 words, listing their non-adjacent pairs from the
+nonzero words of ~row & keep and clearing removed vertices' bits from the
+rows in place; compacts the kept set once into the packed rows of the
+graph it induces (`_induced_rows`); and runs branch and bound with
+greedy-coloring bounds on Python-int bitsets of those rows.  Each
+numbering of the search is one permutation of the kept vertices: their row
+order, or their smallest-last (degeneracy) order.  The root's greedy
+clique and coloring are taken in row order, and when they meet no search
+runs; otherwise the search runs in whichever numbering's root coloring
+uses fewer colors.
 In deterministic mode the witness is the lexicographically smallest
 maximum clique among the kept vertices (all of them, with no lex-min
 search, when they form a clique).  That need not be the smallest of the
@@ -273,6 +275,47 @@ def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
             live = live[ptr[live] < blocks.shape[1]]
 
 
+def _keep_words(keep: np.ndarray, width: int) -> np.ndarray:
+    """keep as the uint64 words of a packed row of `width` bytes: bit j is
+    keep[j], and the padding past len(keep) is zero."""
+    bits = np.zeros(width, np.uint8)
+    bits[:(len(keep) + 7) // 8] = np.packbits(keep, bitorder="little")
+    return bits.view("<u8")
+
+
+def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The non-adjacent pairs (i, j), i < j, of the vertices in `keep`, as
+    two arrays of their count, which deg (each kept vertex's number of kept
+    neighbors) gives up front; per-block pieces sized by the vertex order
+    would fragment the heap.  Rows go 2^14 uint64 words at a time: the
+    words of ~row & keep are cleared up to the diagonal bit and in rows not
+    kept, and only the nonzero ones are unpacked."""
+    n = rows.shape[0]
+    words = rows.view("<u8")
+    k = int(keep.sum())
+    s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
+                    np.min_scalar_type(n))
+    keep_words = _keep_words(keep, rows.shape[1])
+    step = max(1, 2**14 // max(words.shape[1], 1))
+    at = 0
+    for i0 in range(0, n, step):
+        i = np.arange(i0, min(i0 + step, n))
+        w = ~words[i0:i0 + step] & keep_words
+        w[np.arange(words.shape[1]) < (i >> 6)[:, None]] = 0
+        bit = (i & 63).astype(np.uint64)
+        w[i - i0, i >> 6] &= ~((np.uint64(2) << bit) - np.uint64(1))
+        w[~keep[i0:i0 + step]] = 0
+        r, c = np.nonzero(w)
+        f = np.flatnonzero(np.unpackbits(w[r, c].view(np.uint8),
+                                         bitorder="little"))
+        word = f >> 6
+        s[at:at + len(f)] = r[word] + i0
+        t[at:at + len(f)] = c[word] * 64 + (f & 63)
+        at += len(f)
+    return s, t
+
+
 def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask after iterated removal of dominated vertices, for a
     symmetric loop-free adjacency of `power_adjacency` packed rows; removed
@@ -284,55 +327,60 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     vertex with a strict dominator or a twin (equal neighborhood) of
     smaller index, until a round removes nothing.
 
-    Twin classes are cut to their smallest index up front; the other
-    non-adjacent pairs are listed once, a bounded block of unpacked rows at
-    a time, each as (s, t) with s the one t could cover: the smaller
-    degree, or the larger index of twins.  Its one pointer is the first
-    256-bit block where N(s) has a vertex N(t) lacks; rows only lose whole
-    columns, so a round resumes there, and a pair that flips starts at 0."""
+    Everything runs on the rows' uint64 words; no row is unpacked.  Twin
+    classes are cut to their smallest index up front; the other
+    non-adjacent pairs are listed once (`_nonadjacent_pairs`), each as
+    (s, t) with s the one t could cover: the smaller degree, or the larger
+    index of twins.  Its one pointer is the first 256-bit block where N(s)
+    has a vertex N(t) lacks; rows only lose whole columns, so a round
+    resumes there, and a pair that flips starts at 0.  Each round first
+    drops the pairs of removed vertices and re-orients the rest, in place,
+    2^14 pairs at a time; degrees are popcounts of the words."""
     n = rows.shape[0]
-    blocks = rows.view("<u8").reshape(n, rows.shape[1] // 32, 4)
+    words = rows.view("<u8")
+    blocks = words.reshape(n, rows.shape[1] // 32, 4)
+    end = blocks.shape[1]
     keep = np.zeros(n, dtype=bool)
     # one void field per row: first occurrences of each distinct row
     keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
                    return_index=True)[1]] = True
-    rows[:, :(n + 7) // 8] &= np.packbits(keep, bitorder="little")
-    deg = np.bitwise_count(rows.view("<u8")).sum(axis=1, dtype=np.int32)
-    step = max(1, 2**20 // max(n, 1))
-    # kept non-adjacent pairs (i, j), i < j, go into arrays of their known
-    # count: per-block pieces sized by the vertex order fragment the heap
-    k = int(keep.sum())
-    s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
-                    np.min_scalar_type(n))
-    at = 0
-    for i0 in range(0, n, step):
-        i = np.arange(i0, min(i0 + step, n))[:, None]
-        adj = unpack_rows(rows[i0:i0 + step], n)
-        bi, bj = np.nonzero(~adj & keep & keep[i] & (np.arange(n) > i))
-        s[at:at + len(bi)], t[at:at + len(bi)] = bi + i0, bj
-        at += len(bi)
-    # the vertex cap bounds the block count by 64
-    ptr = np.zeros(len(s), dtype=np.uint8)
+    words &= _keep_words(keep, rows.shape[1])
+    deg = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+    s, t = _nonadjacent_pairs(rows, keep, deg)
+    ptr = np.zeros(len(s), dtype=np.min_scalar_type(end))
     while len(s):
-        # re-orient in place, 2^14 pairs at a time, so the degree
-        # gathers stay small beside the pairs
+        at = 0
         for c0 in range(0, len(s), 2**14):
             cs, ct, cp = (a[c0:c0 + 2**14] for a in (s, t, ptr))
+            live = keep[cs] & keep[ct]
+            cs, ct, cp = cs[live], ct[live], cp[live]
             ds, dt = deg[cs], deg[ct]
             flip = (ds > dt) | ((ds == dt) & (cs < ct))
             cs[flip], ct[flip] = ct[flip], cs[flip]
             cp[flip] = 0
+            s[at:at + len(cs)], t[at:at + len(cs)] = cs, ct
+            ptr[at:at + len(cs)] = cp
+            at += len(cs)
+        # views: the pairs stay in the buffers of the listing
+        s, t, ptr = s[:at], t[:at], ptr[:at]
         _advance(blocks, s, t, ptr)
-        gone = np.unique(s[ptr == blocks.shape[1]])
+        covered = np.zeros(n, dtype=bool)
+        for c0 in range(0, len(s), 2**14):
+            covered[s[c0:c0 + 2**14][ptr[c0:c0 + 2**14] == end]] = True
+        gone = np.flatnonzero(covered)
         if not len(gone):
             break
         keep[gone] = False
-        touched = np.unique(gone >> 3)
-        rows[:, touched] &= np.packbits(keep, bitorder="little")[touched]
-        deg -= sum(unpack_rows(rows[gone[g:g + step]], n).sum(axis=0)
-                   for g in range(0, len(gone), step))
-        alive = keep[s] & keep[t]
-        s, t, ptr = s[alive], t[alive], ptr[alive]
+        # clear the removed columns, 2^14 words at a time, and count them
+        # off the degrees
+        lo, hi = gone[0] >> 6, (gone[-1] >> 6) + 1
+        cols = _keep_words(covered, rows.shape[1])[lo:hi]
+        step = max(1, 2**14 // (hi - lo))
+        for r0 in range(0, n, step):
+            cut = words[r0:r0 + step, lo:hi] & cols
+            words[r0:r0 + step, lo:hi] ^= cut
+            deg[r0:r0 + step] -= np.bitwise_count(cut).sum(axis=1,
+                                                           dtype=np.int32)
     return keep
 
 

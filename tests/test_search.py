@@ -28,6 +28,7 @@ from zecap.model import (
 import zecap.search
 from zecap.search import (
     _induced_rows,
+    _nonadjacent_pairs,
     _smallest_last,
     distinguishability_matrix,
     dominated_vertex_mask,
@@ -255,12 +256,50 @@ class TestDominatedVertexMask:
 
     @pytest.mark.parametrize("spec", ["F", "G", "L", "Q", "00-11", ""])
     def test_matches_reference_at_2048_vertices(self, spec):
-        # pairs are listed in 4 row blocks, and a round removes more
-        # vertices than a block holds
+        # pairs are listed in 4 blocks of 512 rows of 32 words, and a round
+        # that removes vertices across the row clears their columns in as
+        # many chunks
         G = NAMED_CHANNELS.get(spec) or parse_channel_spec(spec)
         adj = word_graph(G, 11)
         np.testing.assert_array_equal(dominated_vertex_mask(pack_rows(adj)),
                                       reference_dominated_vertex_mask(adj))
+
+
+def oracle_nonadjacent_pairs(adj, keep):
+    """(i, j), i < j, for kept i and j that are not adjacent, in row-major
+    order, from the unpacked matrix."""
+    ones = np.ones(adj.shape, dtype=bool)
+    return np.nonzero(~adj & keep & keep[:, None] & np.triu(ones, 1))
+
+
+# 2100 vertices are listed in 5 blocks of 455 rows of 36 words
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 127, 128, 255, 256, 257,
+                                  520, 2100])
+@pytest.mark.parametrize("kind", ["holes", "edgeless", "complete",
+                                  "boundary"])
+def test_nonadjacent_pairs_match_unpacked_scan(size, kind):
+    # "holes" drops random vertices from a random graph; "boundary" is a
+    # complete graph less the edges of the rows i % 64 == 63 and i = n - 1,
+    # whose diagonal bit is the last of its word or the last of the row
+    rng = np.random.default_rng(size)
+    keep = np.ones(size, dtype=bool)
+    if kind == "holes":
+        adj = random_graph(size, "random", 0.5, size)
+        keep = rng.random(size) >= 0.3
+    elif kind == "boundary":
+        adj = random_graph(size, "complete", 0.0, 0)
+        cut = (np.arange(size) % 64 == 63) | (np.arange(size) == size - 1)
+        adj[cut] = adj[:, cut] = False
+    else:
+        adj = random_graph(size, {"edgeless": "empty"}.get(kind, kind), 0.0, 0)
+    deg = (adj & keep).sum(axis=1)
+    s, t = _nonadjacent_pairs(pack_rows(adj), keep, deg)
+    want_s, want_t = oracle_nonadjacent_pairs(adj, keep)
+    # the arrays are filled exactly: no leftover of their allocation
+    assert len(s) == len(t) == len(want_s)
+    order = np.lexsort((t, s))
+    np.testing.assert_array_equal(s[order], want_s)
+    np.testing.assert_array_equal(t[order], want_t)
 
 
 @pytest.mark.parametrize("lex_min", [True, False])
