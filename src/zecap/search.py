@@ -12,8 +12,10 @@ size exists.
 Every adjacency is held as the packed rows of `model.power_adjacency`,
 never as an N x N boolean array.  The pipeline removes dominated vertices
 on the rows' uint64 words, listing their non-adjacent pairs from the
-nonzero words of ~row & keep and clearing removed vertices' bits from the
-rows in place; compacts the kept set once into the packed rows of the
+nonzero words of ~row & keep, testing each pair's subset relation first
+at one cached witness word and over the whole rows only where that word
+no longer witnesses, and clearing removed vertices' bits from the rows in
+place; compacts the kept set once into the packed rows of the
 graph it induces (`_induced_rows`); and runs branch and bound with
 greedy-coloring bounds on Python-int bitsets of those rows.  Each
 numbering of the search is one permutation of the kept vertices: their row
@@ -39,15 +41,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
-    Code,
     ChannelGraph,
     Digraph,
     PAIR_LETTERS,
     SpecError,
-    all_words,
     check_vertex_cap,
     enumerate_walks,
-    pair_codes,
     pair_shift_digraph,
     power_adjacency,
     unpack_rows,
@@ -260,19 +259,25 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True
                         time.perf_counter() - t0, lex_min)
 
 
-def _advance(blocks: np.ndarray, s: np.ndarray, t: np.ndarray,
-             ptr: np.ndarray) -> None:
-    """Move each ptr[i] to the first block at or after it where row s[i]
-    has a bit that row t[i] lacks, or to the block count when row s[i] is
-    a subset of row t[i].  Pairs go 2^16 at a time."""
+def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
+                 wit: np.ndarray) -> np.ndarray:
+    """Mask of the rows s[i] whose bits all lie in row t[i], over the
+    uint64 words of the rows.  wit[i] is the index of a word where row
+    s[i] had a bit that row t[i] lacked: where it still has one the pair is
+    settled, and otherwise the two rows are tested in full and wit[i] moves
+    to the first word that has one (0 when none does).  Pairs go 2^16 at a
+    time, and full rows about 2^16 gathered words at a time."""
+    covered = np.zeros(words.shape[0], dtype=bool)
+    step = 2**16 // words.shape[1]
     for c0 in range(0, len(s), 2**16):
-        live = np.arange(c0, min(c0 + 2**16, len(s)))
-        while len(live):
-            p = ptr[live]
-            hit = (blocks[s[live], p] & ~blocks[t[live], p]).any(axis=1)
-            live = live[~hit]
-            ptr[live] += 1
-            live = live[ptr[live] < blocks.shape[1]]
+        cs, ct, cw = (a[c0:c0 + 2**16] for a in (s, t, wit))
+        stale = np.flatnonzero((words[cs, cw] & ~words[ct, cw]) == 0)
+        for i0 in range(0, len(stale), step):
+            i = stale[i0:i0 + step]
+            hit = (words[cs[i]] & ~words[ct[i]]) != 0
+            cw[i] = hit.argmax(axis=1)
+            covered[cs[i[~hit.any(axis=1)]]] = True
+    return covered
 
 
 def _keep_words(keep: np.ndarray, width: int) -> np.ndarray:
@@ -331,15 +336,14 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     classes are cut to their smallest index up front; the other
     non-adjacent pairs are listed once (`_nonadjacent_pairs`), each as
     (s, t) with s the one t could cover: the smaller degree, or the larger
-    index of twins.  Its one pointer is the first 256-bit block where N(s)
-    has a vertex N(t) lacks; rows only lose whole columns, so a round
-    resumes there, and a pair that flips starts at 0.  Each round first
-    drops the pairs of removed vertices and re-orients the rest, in place,
-    2^14 pairs at a time; degrees are popcounts of the words."""
+    index of twins.  Each pair keeps one cached word index, where N(s) last
+    had a vertex N(t) lacked; `_subset_rows` re-checks it every round and
+    tests the whole rows only where it no longer witnesses, so a stale or
+    re-oriented word costs one full test and is never trusted.  Each round
+    first drops the pairs of removed vertices and re-orients the rest, in
+    place, 2^14 pairs at a time; degrees are popcounts of the words."""
     n = rows.shape[0]
     words = rows.view("<u8")
-    blocks = words.reshape(n, rows.shape[1] // 32, 4)
-    end = blocks.shape[1]
     keep = np.zeros(n, dtype=bool)
     # one void field per row: first occurrences of each distinct row
     keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
@@ -347,26 +351,22 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     words &= _keep_words(keep, rows.shape[1])
     deg = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
     s, t = _nonadjacent_pairs(rows, keep, deg)
-    ptr = np.zeros(len(s), dtype=np.min_scalar_type(end))
+    wit = np.zeros(len(s), dtype=np.min_scalar_type(words.shape[1] - 1))
     while len(s):
         at = 0
         for c0 in range(0, len(s), 2**14):
-            cs, ct, cp = (a[c0:c0 + 2**14] for a in (s, t, ptr))
+            cs, ct, cw = (a[c0:c0 + 2**14] for a in (s, t, wit))
             live = keep[cs] & keep[ct]
-            cs, ct, cp = cs[live], ct[live], cp[live]
+            cs, ct, cw = cs[live], ct[live], cw[live]
             ds, dt = deg[cs], deg[ct]
             flip = (ds > dt) | ((ds == dt) & (cs < ct))
             cs[flip], ct[flip] = ct[flip], cs[flip]
-            cp[flip] = 0
             s[at:at + len(cs)], t[at:at + len(cs)] = cs, ct
-            ptr[at:at + len(cs)] = cp
+            wit[at:at + len(cs)] = cw
             at += len(cs)
         # views: the pairs stay in the buffers of the listing
-        s, t, ptr = s[:at], t[:at], ptr[:at]
-        _advance(blocks, s, t, ptr)
-        covered = np.zeros(n, dtype=bool)
-        for c0 in range(0, len(s), 2**14):
-            covered[s[c0:c0 + 2**14][ptr[c0:c0 + 2**14] == end]] = True
+        s, t, wit = s[:at], t[:at], wit[:at]
+        covered = _subset_rows(words, s, t, wit)
         gone = np.flatnonzero(covered)
         if not len(gone):
             break
@@ -428,17 +428,6 @@ def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
     if not np.array_equal(arc, arc.T):
         rows &= power_adjacency(arc.T, walks, walks)
     return rows
-
-
-def greedy_code(G: ChannelGraph, n: int) -> Code:
-    """Maximal pairwise-distinguishable code by greedy scan of the words in
-    lexicographic order, which are first checked against the vertex cap:
-    the greedy clique of the lowest vertices of the words' graph."""
-    check_vertex_cap(2**n, "word list")
-    words = list(all_words(n))
-    rows = distinguishability_matrix(G.arc_matrix(), pair_codes(words, n))
-    adj = _rows_to_bitsets(rows)
-    return Code(n, {words[v] for v in _greedy_clique(adj, (1 << 2**n) - 1)})
 
 
 def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool

@@ -73,7 +73,7 @@ def golden_argvs() -> list[list[str]]:
     for channel in ("F", "G", "L", "Q"):
         argvs.append(["exact", "--channel", channel, "--n", "12"])
     # the channels with the most non-adjacent pairs and the most reduction
-    # rounds, with pointers that resume past the first row block
+    # rounds, with cached witness words that go stale between rounds
     for channel in ("00-11", "01-10", "00-01;00-10;01-11"):
         for n in range(10, 13):
             argvs.append(["exact", "--channel", channel, "--n", str(n)])

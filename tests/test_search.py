@@ -30,10 +30,10 @@ from zecap.search import (
     _induced_rows,
     _nonadjacent_pairs,
     _smallest_last,
+    _subset_rows,
     distinguishability_matrix,
     dominated_vertex_mask,
     exact_M,
-    greedy_code,
     max_clique,
     max_clique_bitset,
     omega_power_markov,
@@ -192,20 +192,25 @@ class TestDeterministicFlag:
                    for r in results)
 
 
+def reference_dominance_round(a):
+    """One dominance round by a dense matrix product: count |N(u) & N(v)|
+    for every pair of the graph on the boolean matrix a, and mark every
+    vertex with a strict dominator or a twin of smaller index."""
+    f = a.astype(np.float32)
+    common = (f @ f.T).astype(np.int64)
+    dom = (~a) & (common == a.sum(axis=1)[:, None])  # v covers u
+    np.fill_diagonal(dom, False)
+    twins = dom & dom.T
+    return (dom & ~dom.T).any(axis=1) | np.tril(twins, k=-1).any(axis=1)
+
+
 def reference_dominated_vertex_mask(adj):
-    """The dominance rounds by dense matrix products: each round counts
-    |N(u) & N(v)| for every pair of the surviving subgraph, then removes
-    every vertex with a strict dominator or a twin of smaller index."""
+    """The dominance rounds of `reference_dominance_round` on the surviving
+    subgraph, until a round removes nothing."""
     keep = np.ones(adj.shape[0], dtype=bool)
     while True:
         idx = np.flatnonzero(keep)
-        a = adj[np.ix_(idx, idx)]
-        f = a.astype(np.float32)
-        common = (f @ f.T).astype(np.int64)
-        dom = (~a) & (common == a.sum(axis=1)[:, None])  # v covers u
-        np.fill_diagonal(dom, False)
-        twins = dom & dom.T
-        remove = (dom & ~dom.T).any(axis=1) | np.tril(twins, k=-1).any(axis=1)
+        remove = reference_dominance_round(adj[np.ix_(idx, idx)])
         if not remove.any():
             return keep
         keep[idx[remove]] = False
@@ -263,6 +268,68 @@ class TestDominatedVertexMask:
         adj = word_graph(G, 11)
         np.testing.assert_array_equal(dominated_vertex_mask(pack_rows(adj)),
                                       reference_dominated_vertex_mask(adj))
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_every_channel_ends_at_a_fixpoint(self, n):
+        # 16 and 32 words a row, where the many-rounds orbit leaves cached
+        # witness words stale; one reference round on the kept subgraph
+        # stands in for the reference's 2^(n-2) rounds.  A vertex adjacent
+        # to every other kept one is in no dominance, and lies in every
+        # other kept neighborhood, so the round leaves such vertices out.
+        for G in ALL_CHANNELS:
+            adj = word_graph(G, n)
+            rows = pack_rows(adj)
+            keep = dominated_vertex_mask(rows)
+            np.testing.assert_array_equal(rows, pack_rows(adj & keep),
+                                          err_msg=G.to_spec())
+            deg = (adj & keep).sum(axis=1)
+            rest = keep & (deg < keep.sum() - 1)
+            assert not reference_dominance_round(
+                adj[np.ix_(rest, rest)]).any(), G.to_spec()
+
+
+def test_subset_rows_matches_unpacked_test():
+    # 300 columns make 8 words a row, the first 5 used.  Pair i has its own
+    # rows s = 2i and t = 2i + 1, and one of six kinds.  The 70 000 pairs
+    # span two chunks of 2^16 pairs, and their stale words several chunks
+    # of 8192 full rows, the last of each partial.
+    rng = np.random.default_rng(0)
+    m, used = 70_000, 300
+    kind = np.arange(m) % 6
+    t_bits = rng.random((m, used)) < 0.5
+    # kind 0: s a strict subset of t, with any cached word
+    s_bits = t_bits & (rng.random((m, used)) < 0.5)
+    # kind 1: equal rows
+    s_bits[kind == 1] = t_bits[kind == 1]
+    wit = rng.integers(0, 8, m)
+    word = rng.integers(0, 4, m)
+    # the one column where s has a bit t lacks: bit 63 of a word (kind 2),
+    # the last used column (kind 3), or a column of a word that the cached
+    # word misses (kind 4) or hits (kind 5)
+    col = np.where(kind == 2, 64 * word + 63, 64 * word + 7)
+    col[kind == 3] = used - 1
+    wit[kind == 4] = word[kind == 4] + 1
+    wit[kind == 5] = word[kind == 5]
+    one = np.flatnonzero(kind >= 2)
+    t_bits[one, col[one]] = False
+    s_bits[one, col[one]] = True
+    bits = np.empty((2 * m, used), dtype=bool)
+    bits[0::2], bits[1::2] = s_bits, t_bits
+    words = pack_rows(bits).view("<u8")
+    s = np.arange(0, 2 * m, 2, dtype=np.uint32)
+    t = s + 1
+    wit = wit.astype(np.uint8)
+    subset = ~(s_bits & ~t_bits).any(axis=1)
+    np.testing.assert_array_equal(subset, kind < 2)
+    assert (s_bits != t_bits).any(axis=1)[kind == 0].all()
+    cached = words[s, wit] & ~words[t, wit] != 0
+    np.testing.assert_array_equal(cached[kind >= 4], kind[kind >= 4] == 5)
+    covered = _subset_rows(words, s, t, wit)
+    want = np.zeros(2 * m, dtype=bool)
+    want[s[subset]] = True
+    np.testing.assert_array_equal(covered, want)
+    # every pair that is no subset is left on a word that witnesses it
+    assert (words[s, wit] & ~words[t, wit] != 0)[~subset].all()
 
 
 def oracle_nonadjacent_pairs(adj, keep):
@@ -445,8 +512,8 @@ def test_exact_m_holds_no_dense_adjacency():
 
 def test_exact_m_pairs_fit_in_32_mib():
     # 00-11 at n=12 has 2.3 million non-adjacent pairs, which the reduction
-    # holds through its rounds, each once with a one-byte pointer, and
-    # re-orients a bounded chunk at a time
+    # holds through its rounds, each once with a one-byte cached word
+    # index, and re-orients a bounded chunk at a time
     tracemalloc.start()
     try:
         exact_M(parse_channel_spec("00-11"), 12)
@@ -568,27 +635,6 @@ class TestOmegaS:
         expected = dilworth_max_antichain(fib_words, leq)
         assert omega_s(SINGLE_ARC_DIGRAPH, FIBONACCI_DIGRAPH, n).size \
             == expected
-
-
-class TestGreedyCode:
-    def test_f_n2_lexicographic(self):
-        assert greedy_code(TRIANGLE_F, 2).sorted_words() == ["00", "01", "10"]
-
-    def test_edgeless_single_word(self):
-        assert len(greedy_code(EDGELESS, 3)) == 1
-
-    def test_greedy_below_exact(self):
-        assert len(greedy_code(TRIANGLE_F, 5)) <= exact_M(TRIANGLE_F, 5).size
-
-    def test_greedy_is_valid_code(self):
-        code = greedy_code(TRIANGLE_G, 6)
-        for x, y in itertools.combinations(code.sorted_words(), 2):
-            assert distinguishable(x, y, TRIANGLE_G)
-
-    def test_cap_before_word_list(self):
-        # 2^15 words: refused before any word is listed
-        with pytest.raises(ResourceCapExceeded, match="exceeds cap"):
-            greedy_code(TRIANGLE_F, 15)
 
 
 class TestSupermultiplicativity:
