@@ -185,9 +185,19 @@ def pair_codes(words: Sequence[str], n: int) -> np.ndarray:
     return 2 * bits[:, :-1] + bits[:, 1:]
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """The packed rows of a boolean matrix, the one format every adjacency
+    here is held in: C-contiguous little-endian uint64 words ("<u8"), bit j
+    of a row at bit j % 64 of word j // 64, zero-padded to whole words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 8), np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def unpack_rows(rows: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` bits of each packed row, as a boolean matrix."""
-    return np.unpackbits(rows, axis=1, count=count,
+    """The first `count` bits of each `pack_rows` row, as a boolean matrix."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=count,
                          bitorder="little").view(bool)
 
 
@@ -196,15 +206,12 @@ def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
     """Coordinatewise power of a (di)graph between two walk arrays.
 
     A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
-    is the |A| x |B| matrix of `any_i arc[A[:, i], B[:, i]]` with each row
-    packed as a little-endian uint8 bitset, zero-padded to whole 256-bit
-    blocks: every adjacency here is held in this form.  It is built one
-    coordinate at a time as a row gather of the packed k x |B| table
-    arc[:, B[:, i]], so no larger array exists."""
-    out = np.zeros((A.shape[0], -(-B.shape[0] // 256) * 32), dtype=np.uint8)
+    is the |A| x |B| matrix of `any_i arc[A[:, i], B[:, i]]` in `pack_rows`
+    form.  It is built one coordinate at a time as a row gather of the
+    packed k x |B| table arc[:, B[:, i]], so no larger array exists."""
+    out = np.zeros((A.shape[0], -(-B.shape[0] // 64)), dtype="<u8")
     for i in range(A.shape[1]):
-        table = np.pad(arc[:, B[:, i]], ((0, 0), (0, -B.shape[0] % 256)))
-        out |= np.packbits(table, axis=1, bitorder="little")[A[:, i]]
+        out |= pack_rows(arc[:, B[:, i]])[A[:, i]]
     return out
 
 

@@ -10,8 +10,9 @@ One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
 size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
-never as an N x N boolean array.  The pipeline removes dominated vertices
-on the rows' uint64 words, listing their non-adjacent pairs from the
+never as an N x N boolean array; their bits are reached here only through
+`model.pack_rows` and `model.unpack_rows`.  The pipeline removes dominated
+vertices on the rows' uint64 words, listing their non-adjacent pairs from the
 nonzero words of ~row & keep, testing each pair's subset relation first
 at one cached witness word and over the whole rows only where that word
 no longer witnesses, and clearing removed vertices' bits from the rows in
@@ -47,6 +48,7 @@ from .model import (
     SpecError,
     check_vertex_cap,
     enumerate_walks,
+    pack_rows,
     pair_shift_digraph,
     power_adjacency,
     unpack_rows,
@@ -184,15 +186,15 @@ def _rows_to_bitsets(rows: np.ndarray) -> list[int]:
 
 
 def _induced_rows(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Packed rows of the graph that `rows` induce on the vertices `verts`,
-    verts[i] numbered i, built a bounded block of unpacked rows at a time."""
+    """`pack_rows` rows of the graph that `rows` induce on the vertices
+    `verts`, verts[i] numbered i, packed a bounded block of unpacked rows
+    at a time."""
     n, N = len(verts), rows.shape[0]
-    out = np.zeros((n, -(-n // 256) * 32), np.uint8)
+    out = np.repeat(pack_rows(np.zeros((1, n), bool)), n, axis=0)
     step = max(1, 2**20 // max(N, 1))
     for i in range(0, n, step):
-        out[i:i + step, :(n + 7) // 8] = np.packbits(
-            unpack_rows(rows[verts[i:i + step]], N)[:, verts],
-            axis=1, bitorder="little")
+        out[i:i + step] = pack_rows(
+            unpack_rows(rows[verts[i:i + step]], N)[:, verts])
     return out
 
 
@@ -201,7 +203,7 @@ def _smallest_last(rows: np.ndarray) -> np.ndarray:
     vertex is removed again and again, the highest first on ties, and the
     last one removed comes first."""
     n = rows.shape[0]
-    deg = np.bitwise_count(rows.view("<u8")).sum(axis=1, dtype=np.int64)
+    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
     order = np.empty(n, np.intp)
     for i in range(n - 1, -1, -1):
         v = n - 1 - int(np.argmin(deg[::-1]))
@@ -280,40 +282,30 @@ def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
     return covered
 
 
-def _keep_words(keep: np.ndarray, width: int) -> np.ndarray:
-    """keep as the uint64 words of a packed row of `width` bytes: bit j is
-    keep[j], and the padding past len(keep) is zero."""
-    bits = np.zeros(width, np.uint8)
-    bits[:(len(keep) + 7) // 8] = np.packbits(keep, bitorder="little")
-    return bits.view("<u8")
-
-
 def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The non-adjacent pairs (i, j), i < j, of the vertices in `keep`, as
     two arrays of their count, which deg (each kept vertex's number of kept
     neighbors) gives up front; per-block pieces sized by the vertex order
-    would fragment the heap.  Rows go 2^14 uint64 words at a time: the
-    words of ~row & keep are cleared up to the diagonal bit and in rows not
-    kept, and only the nonzero ones are unpacked."""
-    n = rows.shape[0]
-    words = rows.view("<u8")
+    would fragment the heap.  Rows go 2^14 words at a time: the words of
+    ~row & keep are cleared up to the diagonal bit and in rows not kept,
+    and only the nonzero ones are unpacked (`unpack_rows`)."""
+    n, width = rows.shape
     k = int(keep.sum())
     s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
                     np.min_scalar_type(n))
-    keep_words = _keep_words(keep, rows.shape[1])
-    step = max(1, 2**14 // max(words.shape[1], 1))
+    keep_words = pack_rows(keep[None])[0]
+    step = max(1, 2**14 // max(width, 1))
     at = 0
     for i0 in range(0, n, step):
         i = np.arange(i0, min(i0 + step, n))
-        w = ~words[i0:i0 + step] & keep_words
-        w[np.arange(words.shape[1]) < (i >> 6)[:, None]] = 0
+        w = ~rows[i0:i0 + step] & keep_words
+        w[np.arange(width) < (i >> 6)[:, None]] = 0
         bit = (i & 63).astype(np.uint64)
         w[i - i0, i >> 6] &= ~((np.uint64(2) << bit) - np.uint64(1))
         w[~keep[i0:i0 + step]] = 0
         r, c = np.nonzero(w)
-        f = np.flatnonzero(np.unpackbits(w[r, c].view(np.uint8),
-                                         bitorder="little"))
+        f = np.flatnonzero(unpack_rows(w[r, c, None], 64))
         word = f >> 6
         s[at:at + len(f)] = r[word] + i0
         t[at:at + len(f)] = c[word] * 64 + (f & 63)
@@ -323,8 +315,8 @@ def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
 
 def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask after iterated removal of dominated vertices, for a
-    symmetric loop-free adjacency of `power_adjacency` packed rows; removed
-    vertices' bits are cleared from the rows in place.
+    symmetric loop-free adjacency in `pack_rows` form; removed vertices'
+    bits are cleared from the rows in place.
 
     u is dominated by v when they are non-adjacent and N(u) is a subset of
     N(v); any clique through u then maps to one through v, so u can be
@@ -343,15 +335,14 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     first drops the pairs of removed vertices and re-orients the rest, in
     place, 2^14 pairs at a time; degrees are popcounts of the words."""
     n = rows.shape[0]
-    words = rows.view("<u8")
     keep = np.zeros(n, dtype=bool)
     # one void field per row: first occurrences of each distinct row
-    keep[np.unique(rows.view(f"V{rows.shape[1]}").ravel(),
+    keep[np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(),
                    return_index=True)[1]] = True
-    words &= _keep_words(keep, rows.shape[1])
-    deg = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+    rows &= pack_rows(keep[None])
+    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int32)
     s, t = _nonadjacent_pairs(rows, keep, deg)
-    wit = np.zeros(len(s), dtype=np.min_scalar_type(words.shape[1] - 1))
+    wit = np.zeros(len(s), dtype=np.min_scalar_type(rows.shape[1] - 1))
     while len(s):
         at = 0
         for c0 in range(0, len(s), 2**14):
@@ -366,7 +357,7 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
             at += len(cs)
         # views: the pairs stay in the buffers of the listing
         s, t, wit = s[:at], t[:at], wit[:at]
-        covered = _subset_rows(words, s, t, wit)
+        covered = _subset_rows(rows, s, t, wit)
         gone = np.flatnonzero(covered)
         if not len(gone):
             break
@@ -374,11 +365,11 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
         # clear the removed columns, 2^14 words at a time, and count them
         # off the degrees
         lo, hi = gone[0] >> 6, (gone[-1] >> 6) + 1
-        cols = _keep_words(covered, rows.shape[1])[lo:hi]
+        cols = pack_rows(covered[None])[0, lo:hi]
         step = max(1, 2**14 // (hi - lo))
         for r0 in range(0, n, step):
-            cut = words[r0:r0 + step, lo:hi] & cols
-            words[r0:r0 + step, lo:hi] ^= cut
+            cut = rows[r0:r0 + step, lo:hi] & cols
+            rows[r0:r0 + step, lo:hi] ^= cut
             deg[r0:r0 + step] -= np.bitwise_count(cut).sum(axis=1,
                                                            dtype=np.int32)
     return keep
@@ -411,9 +402,7 @@ def max_clique(universe: Sequence, predicate: Callable, *,
         for j in range(i + 1, m):
             if predicate(universe[i], universe[j]):
                 mat[i, j] = mat[j, i] = True
-    # the predicate's graph is its own power over one-letter walks
-    idx = np.arange(m).reshape(m, 1)
-    res = _solve_clique(power_adjacency(mat, idx, idx), lex_min, t0)
+    res = _solve_clique(pack_rows(mat), lex_min, t0)
     res.witness = [universe[i] for i in res.witness]
     return res
 

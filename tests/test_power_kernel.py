@@ -18,6 +18,7 @@ from zecap.model import (
     distinguishable,
     enumerate_walks,
     pair_codes,
+    pack_rows,
     pair_shift_digraph,
     parse_channel_spec,
     power_adjacency,
@@ -75,7 +76,7 @@ class TestPowerAdjacency:
         B = np.array([[rng.randrange(k) for _ in range(L)]
                       for _ in range(nb)], dtype=np.intp).reshape(nb, L)
         packed = power_adjacency(D.arc_matrix(), A, B)
-        assert packed.shape == (na, -(-nb // 256) * 32)
+        assert packed.shape == (na, -(-nb // 64))
         got = unpack_rows(packed, nb)
         for i, j in itertools.product(range(na), range(nb)):
             assert got[i, j] == any(D.has_arc(int(a), int(b))
@@ -107,15 +108,15 @@ class TestPowerAdjacency:
             assert mat[i, j] == (forward(W[i], W[j])
                                  and forward(W[j], W[i]))
 
-    @pytest.mark.parametrize("nb", [0, 1, 255, 256, 257])
+    @pytest.mark.parametrize("nb", [0, 1, 63, 64, 65, 255, 256, 257])
     def test_rows_are_padded_with_zeros(self, nb):
         # every arc is present, so a row is nb ones and then zeros up to a
-        # whole 256-bit block
+        # whole 64-bit word
         arc = np.ones((3, 3), dtype=bool)
         rows = power_adjacency(arc, np.zeros((4, 2), dtype=np.intp),
                                np.zeros((nb, 2), dtype=np.intp))
-        assert rows.shape == (4, -(-nb // 256) * 32)
-        bits = unpack_rows(rows, 8 * rows.shape[1])
+        assert rows.shape == (4, -(-nb // 64))
+        bits = unpack_rows(rows, 64 * rows.shape[1])
         assert bits[:, :nb].all() and not bits[:, nb:].any()
 
     @pytest.mark.parametrize("n", range(2, 15))
@@ -129,6 +130,49 @@ class TestPowerAdjacency:
         codes_ = pair_codes(["0110", "1001"], 4)
         assert codes_.tolist() == [[1, 3, 2], [2, 0, 1]]
         assert pair_codes(["0", "1"], 1).shape == (2, 0)
+
+
+def scalar_words(bits):
+    """Each row's bits as 64-bit words, bit j at bit j % 64 of word j // 64,
+    by Python-int arithmetic."""
+    width = -(-bits.shape[1] // 64)
+    values = [sum(1 << j for j, bit in enumerate(row) if bit) for row in bits]
+    return [[v >> 64 * w & 2**64 - 1 for w in range(width)] for v in values]
+
+
+class TestPackRows:
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_round_trip(self, width, count):
+        bits = np.random.default_rng(width).random((count, width)) < 0.5
+        rows = pack_rows(bits)
+        assert rows.dtype == np.dtype("<u8") and rows.flags.c_contiguous
+        assert rows.shape == (count, -(-width // 64))
+        assert rows.tolist() == scalar_words(bits)
+        np.testing.assert_array_equal(unpack_rows(rows, width), bits)
+        # the padding past the last bit is zero
+        assert not unpack_rows(rows, 64 * rows.shape[1])[:, width:].any()
+
+    @pytest.mark.parametrize("width", [2, 63, 64, 65, 300])
+    def test_fortran_ordered_gather(self, width):
+        # the k x |B| table power_adjacency packs: a column gather of the
+        # arc matrix, which numpy returns Fortran-ordered
+        rng = np.random.default_rng(width)
+        arc = rng.random((4, 4)) < 0.5
+        table = arc[:, rng.integers(0, 4, width)]
+        assert table.flags.f_contiguous and not table.flags.c_contiguous
+        rows = pack_rows(table)
+        assert rows.dtype == np.dtype("<u8") and rows.flags.c_contiguous
+        assert rows.tolist() == scalar_words(table)
+        np.testing.assert_array_equal(unpack_rows(rows, width), table)
+
+    def test_column_sliced_view(self):
+        bits = np.random.default_rng(0).random((7, 300)) < 0.5
+        view = bits[:, 37:250:3]
+        rows = pack_rows(view)
+        assert rows.flags.c_contiguous
+        assert rows.tolist() == scalar_words(view)
+        np.testing.assert_array_equal(unpack_rows(rows, view.shape[1]), view)
 
 
 class TestVerifyCodeOracle:

@@ -64,9 +64,9 @@ def word_graph(G, n):
 
 def pack_rows(adj):
     """A boolean matrix in the packed-row format of `power_adjacency`:
-    little-endian bitsets zero-padded to whole 256-bit blocks."""
-    adj = np.pad(adj, ((0, 0), (0, -adj.shape[1] % 256)))
-    return np.packbits(adj, axis=1, bitorder="little")
+    little-endian uint64 words zero-padded to whole words."""
+    adj = np.pad(adj, ((0, 0), (0, -adj.shape[1] % 64)))
+    return np.packbits(adj, axis=1, bitorder="little").view("<u8")
 
 
 def subset_oracle_M(G, n):
@@ -289,7 +289,7 @@ class TestDominatedVertexMask:
 
 
 def test_subset_rows_matches_unpacked_test():
-    # 300 columns make 8 words a row, the first 5 used.  Pair i has its own
+    # 512 columns make 8 words a row, the first 5 used.  Pair i has its own
     # rows s = 2i and t = 2i + 1, and one of six kinds.  The 70 000 pairs
     # span two chunks of 2^16 pairs, and their stale words several chunks
     # of 8192 full rows, the last of each partial.
@@ -313,9 +313,9 @@ def test_subset_rows_matches_unpacked_test():
     one = np.flatnonzero(kind >= 2)
     t_bits[one, col[one]] = False
     s_bits[one, col[one]] = True
-    bits = np.empty((2 * m, used), dtype=bool)
-    bits[0::2], bits[1::2] = s_bits, t_bits
-    words = pack_rows(bits).view("<u8")
+    bits = np.zeros((2 * m, 512), dtype=bool)
+    bits[0::2, :used], bits[1::2, :used] = s_bits, t_bits
+    words = pack_rows(bits)
     s = np.arange(0, 2 * m, 2, dtype=np.uint32)
     t = s + 1
     wit = wit.astype(np.uint8)
@@ -339,7 +339,7 @@ def oracle_nonadjacent_pairs(adj, keep):
     return np.nonzero(~adj & keep & keep[:, None] & np.triu(ones, 1))
 
 
-# 2100 vertices are listed in 5 blocks of 455 rows of 36 words
+# 2100 vertices are listed in 5 blocks of 496 rows of 33 words
 @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 127, 128, 255, 256, 257,
                                   520, 2100])
 @pytest.mark.parametrize("kind", ["holes", "edgeless", "complete",
