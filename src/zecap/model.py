@@ -208,10 +208,20 @@ def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
     A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
     is the |A| x |B| matrix of `any_i arc[A[:, i], B[:, i]]` in `pack_rows`
     form.  It is built one coordinate at a time as a row gather of the
-    packed k x |B| table arc[:, B[:, i]], so no larger array exists."""
-    out = np.zeros((A.shape[0], -(-B.shape[0] // 64)), dtype="<u8")
+    packed k x |B| table of arc[:, B[:, i]], so no larger array exists.
+    The table is packed from blocks of at most 2^24 unpacked entries, each
+    gathered by `take`, which leaves it C-contiguous for `pack_rows`
+    (a column gather by indexing would leave it Fortran-ordered, and
+    packing that is about ten times slower)."""
+    width = -(-B.shape[0] // 64)
+    out = np.zeros((A.shape[0], width), dtype="<u8")
+    table = np.empty((arc.shape[0], width), dtype="<u8")
+    step = max(1, 2**24 // max(B.shape[0], 1))
     for i in range(A.shape[1]):
-        out |= pack_rows(arc[:, B[:, i]])[A[:, i]]
+        for r in range(0, arc.shape[0], step):
+            table[r:r + step] = pack_rows(arc[r:r + step].take(B[:, i],
+                                                               axis=1))
+        out |= table[A[:, i]]
     return out
 
 

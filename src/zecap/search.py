@@ -24,16 +24,34 @@ order, or their smallest-last (degeneracy) order.  The root's greedy
 clique and coloring are taken in row order, and when they meet no search
 runs; otherwise the search runs in whichever numbering's root coloring
 uses fewer colors.
+
+Only then is the walk group derived (`_walk_automorphisms`), so a search
+that closes at the root does no symmetry work.  It comes from the input:
+every relabeling s of the k vertices that maps arc onto arc or arc.T and
+P onto P, acting on every coordinate of a walk, and s composed with walk
+reversal where s maps P onto P.T.  All k! relabelings are tried for
+k <= 6, only the identity for larger k.  The search keeps the elements
+that map the kept set onto itself, since the reduction's index
+tie-breaks need not respect the group; they act on the graph the kept
+set induces, and its root branches once per orbit: after the branch on
+v, v's whole orbit leaves the candidates.  Below the root each vertex is
+its own orbit, so the plain search is the same loop with every orbit a
+singleton.
+
 In deterministic mode the witness is the lexicographically smallest
 maximum clique among the kept vertices (all of them, with no lex-min
 search, when they form a clique).  That need not be the smallest of the
 whole graph: for channel 00-11 at n=3 the witness is {000, 111}, while
-{000, 011} is smaller.  The result's `deterministic` flag records which
+{000, 011} is smaller.  It is chosen by decisions, one member at a time;
+each decision that finds a clique returns it, and a candidate inside the
+last clique found (at first the one branch and bound found) is kept
+without a search.  The result's `deterministic` flag records which
 mode chose the witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -97,26 +115,38 @@ def _color_classes(adj: list[int], P: int) -> tuple[list[int], list[int]]:
 
 
 class _CliqueKernel:
-    """Tomita-style branch and bound on bitset adjacency rows."""
+    """Tomita-style branch and bound on bitset adjacency rows.  `orbit[v]`
+    is the bitset of v's orbit under a group of automorphisms of the
+    graph, or v alone."""
 
-    def __init__(self, adj: list[int], seed: Sequence[int]):
+    def __init__(self, adj: list[int], seed: Sequence[int],
+                 orbit: list[int]):
         self.adj = adj
+        self.single = [1 << v for v in range(len(adj))]
+        self.orbit = orbit
         self.nodes = 0
         self.best = len(seed)
         self.best_set: list[int] = list(seed)
 
     def expand(self, R: list[int], P: int,
                root: tuple[list[int], list[int]] = ()) -> None:
-        """Branch on the vertices of P, last color class first; `root` is
-        P's coloring when the caller already holds it."""
+        """Branch on the vertices of P, last color class first, dropping
+        each from P once its branch is done.  `root` is P's coloring at the
+        root, where a branch drops its vertex's whole orbit: a clique
+        through a dropped vertex has an image through the branched one
+        that avoids the orbits dropped before, so
+        omega = max_i (1 + omega(N(v_i) minus O_1 ... O_(i-1)))."""
         self.nodes += 1
         adj = self.adj
         order, colors = root or _color_classes(adj, P)
+        drop = self.orbit if root else self.single
         depth = len(R)
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= self.best:
                 return
             v = order[i]
+            if not P >> v & 1:
+                continue  # dropped with an earlier vertex's orbit
             new_P = P & adj[v]
             R.append(v)
             if new_P:
@@ -125,7 +155,7 @@ class _CliqueKernel:
                 self.best = len(R)
                 self.best_set = list(R)
             R.pop()
-            P &= ~(1 << v)
+            P &= ~drop[v]
 
 
 def _greedy_clique(adj: list[int], P: int) -> list[int]:
@@ -139,44 +169,59 @@ def _greedy_clique(adj: list[int], P: int) -> list[int]:
 
 
 def _has_clique_of_size(adj: list[int], P: int, need: int,
-                        kernel_nodes: list[int]) -> bool:
-    """Decision variant: does the graph induced on bitset P contain a clique
-    of `need` vertices?  Greedy lower bound first, then the coloring bound."""
+                        kernel_nodes: list[int]) -> int | None:
+    """Decision variant: the bitset of a clique of exactly `need` vertices
+    inside bitset P, or None when the graph induced on P has none.  Greedy
+    lower bound first, then the coloring bound."""
     if need <= 0:
-        return True
+        return 0
     if P.bit_count() < need:
-        return False
-    if len(_greedy_clique(adj, P)) >= need:
-        return True
+        return None
+    clique = _greedy_clique(adj, P)
+    if len(clique) >= need:
+        return sum(1 << v for v in clique[:need])
     order, colors = _color_classes(adj, P)
     if colors[-1] < need:
-        return False
+        return None
     kernel_nodes[0] += 1
     rest = P
     for i in range(len(order) - 1, -1, -1):
         if colors[i] < need:
-            return False
+            return None
         v = order[i]
-        if _has_clique_of_size(adj, rest & adj[v], need - 1, kernel_nodes):
-            return True
+        found = _has_clique_of_size(adj, rest & adj[v], need - 1,
+                                    kernel_nodes)
+        if found is not None:
+            return found | 1 << v
         rest &= ~(1 << v)
-    return False
+    return None
 
 
 def _lex_min_witness(adj: list[int], P: int, size: int, nodes: list[int],
-                     scan: Sequence[int]) -> list[int]:
+                     scan: Sequence[int], found: int) -> list[int]:
     """The clique of the known maximum size inside bitset P that comes
     first in the order of `scan`, which lists P's members: each member in
-    turn is kept when a decision search finds a clique of that size through
-    it and the members kept so far."""
+    turn is kept when a clique of that size runs through it and the
+    members kept so far.  `found` is the bitset of one such clique, at
+    first any clique of that size inside P: a member inside it is kept
+    without a search, and each decision search that finds a clique
+    replaces it."""
     chosen: list[int] = []
+    kept = 0
     for v in scan:
         if len(chosen) == size:
             break
-        if P >> v & 1 and _has_clique_of_size(
-                adj, P & adj[v], size - len(chosen) - 1, nodes):
-            chosen.append(v)
-            P &= adj[v]
+        if not P >> v & 1:
+            continue
+        if not found >> v & 1:
+            rest = _has_clique_of_size(adj, P & adj[v],
+                                       size - len(chosen) - 1, nodes)
+            if rest is None:
+                continue
+            found = rest | kept | 1 << v
+        chosen.append(v)
+        kept |= 1 << v
+        P &= adj[v]
     return chosen
 
 
@@ -214,7 +259,17 @@ def _smallest_last(rows: np.ndarray) -> np.ndarray:
     return order
 
 
-def max_clique_bitset(rows: np.ndarray, lex_min: bool = True
+def _orbit_bitsets(label: np.ndarray) -> list[int]:
+    """The bitset of each vertex's orbit, the vertices that share its
+    label."""
+    members: dict[int, int] = {}
+    for v, lab in enumerate(label.tolist()):
+        members[lab] = members.get(lab, 0) | 1 << v
+    return [members[lab] for lab in label.tolist()]
+
+
+def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
+                      automorphisms: Callable[[], np.ndarray] | None = None
                       ) -> SearchResult:
     """Exact maximum clique of the graph on the packed rows of vertices
     0..n-1.
@@ -225,9 +280,13 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True
     given numbering come first; when they meet, the root closes.
     Otherwise branch and bound runs in whichever numbering's root coloring
     uses fewer colors, the given one on a tie, seeded with the larger
-    greedy clique.  `lex_min` then replaces the witness by the
-    lexicographically smallest maximum clique (deterministic mode), decided
-    in the search's numbering with the candidates tried in vertex order."""
+    greedy clique.  `automorphisms`, called only then, returns a group of
+    automorphisms of the graph, one vertex permutation g per row (g[v] the
+    image of v); the root branches once per orbit of that group.
+    `lex_min` then replaces the witness by the lexicographically smallest
+    maximum clique (deterministic mode), decided in the search's numbering
+    with the candidates tried in vertex order, starting from the clique
+    the search found."""
     n = rows.shape[0]
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
@@ -250,13 +309,18 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True
         if sl_root[1][-1] < root[1][-1]:
             order, adj, root = sl_order, sl_adj, sl_root
     rank = np.argsort(order)  # the number of each vertex
-    kern = _CliqueKernel(adj, rank[seed].tolist())
+    label = np.arange(n)
+    if root[1][-1] > len(seed) and automorphisms is not None:
+        # vertices share an orbit when they share their least image
+        label = automorphisms().min(axis=0)[order]
+    kern = _CliqueKernel(adj, rank[seed].tolist(), _orbit_bitsets(label))
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
         # a clique of all n vertices is the only maximum clique
-        witness = _lex_min_witness(adj, P, kern.best, nodes, rank.tolist())
+        witness = _lex_min_witness(adj, P, kern.best, nodes, rank.tolist(),
+                                   sum(1 << v for v in witness))
     return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
                         time.perf_counter() - t0, lex_min)
 
@@ -375,15 +439,28 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float
+def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float,
+                  automorphisms: Callable[[], np.ndarray] | None = None
                   ) -> SearchResult:
     """The search pipeline for packed rows: dominance reduction, the
     packed rows of the kept set compacted once, branch and bound on them.
-    The witness holds row indices; `elapsed` counts from t0."""
-    kept = np.flatnonzero(dominated_vertex_mask(rows))
+    `automorphisms` returns a group of the rows' graph, as for
+    `max_clique_bitset`; the search gets the elements that map the kept
+    set onto itself, which form a group of the graph it induces.  The
+    witness holds row indices; `elapsed` counts from t0."""
+    keep = dominated_vertex_mask(rows)
+    kept = np.flatnonzero(keep)
     # the full rows are let go before the search
     rows = _induced_rows(rows, kept)
-    res = max_clique_bitset(rows, lex_min)
+
+    def kept_automorphisms() -> np.ndarray:
+        g = automorphisms()
+        # the reduction's ties go by index, which the group need not keep
+        g = g[(keep[g] == keep).all(axis=1)]
+        return (np.cumsum(keep) - 1)[g[:, kept]]
+
+    res = max_clique_bitset(rows, lex_min, kept_automorphisms
+                            if automorphisms else None)
     res.witness = kept[res.witness].tolist()
     res.elapsed = time.perf_counter() - t0
     return res
@@ -419,14 +496,57 @@ def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
     return rows
 
 
+def _walk_keys(walks: np.ndarray) -> np.ndarray:
+    """One byte string per walk, the walk in big-endian 16-bit digits, so
+    the keys sort as the walks do."""
+    digits = np.ascontiguousarray(walks, dtype=">u2")
+    return digits.view(f"V{digits.itemsize * walks.shape[1]}").ravel()
+
+
+def _walk_automorphisms(arc: np.ndarray, P: Digraph, walks: np.ndarray
+                        ) -> np.ndarray:
+    """A group of automorphisms of `distinguishability_matrix(arc, walks)`
+    on the walks V^m(P), in lexicographic order: one walk permutation g
+    per row, g[v] the index of the image of walk v.
+
+    A relabeling s of the k vertices acts on every coordinate of a walk.
+    It is taken when it maps arc onto arc or onto arc.T (adjacency asks
+    for an arc each way, so arc.T gives the same graph) and P onto P, and
+    composed with walk reversal when it maps P onto P.T; reversal permutes
+    the coordinates and so keeps adjacency.  Every s in S_k is tried for
+    k <= 6, only the identity for larger k.  Images are found by one
+    searchsorted on the walks' keys."""
+    k = arc.shape[0]
+    p = P.arc_matrix()
+    if k <= 6:
+        relabel = np.array(list(itertools.permutations(range(k))))
+    else:
+        relabel = np.arange(k)[None]
+    # [j, a, b] = arc[s_j(a), s_j(b)]: s_j maps arc onto that pattern
+    at = (relabel[:, :, None], relabel[:, None, :])
+    moved, moved_p = arc[at], p[at]
+    keeps_arc = ((moved == arc).all(axis=(1, 2))
+                 | (moved == arc.T).all(axis=(1, 2)))
+    keys = _walk_keys(walks)
+    perms = []
+    for j in np.flatnonzero(keeps_arc):
+        for image, target in ((walks, p), (walks[:, ::-1], p.T)):
+            if np.array_equal(moved_p[j], target):
+                perms.append(np.searchsorted(
+                    keys, _walk_keys(relabel[j][image])))
+    return np.array(perms)
+
+
 def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool
            ) -> tuple[SearchResult, np.ndarray]:
     """The one route of every problem here: the maximum clique of
-    `distinguishability_matrix(arc, V^m(P))`.  Returns the result, whose
-    witness holds row indices, and the walk array, in lexicographic order."""
+    `distinguishability_matrix(arc, V^m(P))`, searched with the walk
+    group of `_walk_automorphisms`.  Returns the result, whose witness
+    holds row indices, and the walk array, in lexicographic order."""
     t0 = time.perf_counter()
     walks = enumerate_walks(P, m)
-    res = _solve_clique(distinguishability_matrix(arc, walks), lex_min, t0)
+    res = _solve_clique(distinguishability_matrix(arc, walks), lex_min, t0,
+                        lambda: _walk_automorphisms(arc, P, walks))
     return res, walks
 
 

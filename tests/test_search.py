@@ -23,14 +23,19 @@ from zecap.model import (
     enumerate_walks,
     pair_shift_digraph,
     parse_channel_spec,
+    parse_digraph_spec,
     unpack_rows,
 )
 import zecap.search
 from zecap.search import (
+    _has_clique_of_size,
     _induced_rows,
+    _lex_min_witness,
     _nonadjacent_pairs,
+    _rows_to_bitsets,
     _smallest_last,
     _subset_rows,
+    _walk_automorphisms,
     distinguishability_matrix,
     dominated_vertex_mask,
     exact_M,
@@ -421,26 +426,60 @@ def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
     assert all(0 <= v < 2**1201 for v in handed[0])
 
 
+def cyclic_group(size, seed):
+    """The powers of a random permutation of `size` vertices whose cycles
+    are at most 4 long, one per row."""
+    rng = np.random.default_rng(seed)
+    g = np.arange(size)
+    shuffled = rng.permutation(size)
+    at = 0
+    while at < size:
+        cycle = shuffled[at:at + int(rng.integers(1, 5))]
+        g[cycle] = np.roll(cycle, 1)
+        at += len(cycle)
+    powers = [np.arange(size)]
+    while len(powers) == 1 or not np.array_equal(powers[-1], powers[0]):
+        powers.append(g[powers[-1]])
+    return np.array(powers[:-1])
+
+
 # the examples: searches in the smallest-last numbering, one whose root
-# closes there, and one in the given numbering seeded from the other
-@settings(max_examples=200, deadline=None)
-@example(size=40, kind="random", density=0.5, seed=0, holes=0, lex_min=True)
+# closes there, one in the given numbering seeded from the other, and
+# three that branch on orbits
+@settings(max_examples=300, deadline=None)
+@example(size=40, kind="random", density=0.5, seed=0, holes=0, lex_min=True,
+         grouped=False)
 @example(size=40, kind="random", density=0.6, seed=1, holes=0xF0F0F,
-         lex_min=False)
-@example(size=40, kind="twins", density=0.6, seed=1, holes=0, lex_min=True)
-@example(size=40, kind="random", density=0.5, seed=2, holes=0, lex_min=True)
+         lex_min=False, grouped=False)
+@example(size=40, kind="twins", density=0.6, seed=1, holes=0, lex_min=True,
+         grouped=False)
+@example(size=40, kind="random", density=0.5, seed=2, holes=0, lex_min=True,
+         grouped=False)
+@example(size=40, kind="random", density=0.5, seed=0, holes=0, lex_min=True,
+         grouped=True)
+@example(size=40, kind="random", density=0.7, seed=1, holes=0,
+         lex_min=False, grouped=True)
+@example(size=40, kind="random", density=0.5, seed=54, holes=0,
+         lex_min=True, grouped=True)
 @given(size=st.integers(0, 40),
        kind=st.sampled_from(["random", "empty", "complete", "twins"]),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-       holes=st.integers(0, 2**40 - 1), lex_min=st.booleans())
+       holes=st.integers(0, 2**40 - 1), lex_min=st.booleans(),
+       grouped=st.booleans())
 def test_max_clique_bitset_matches_networkx(size, kind, density, seed, holes,
-                                            lex_min):
+                                            lex_min, grouped):
     # the graph is the one a random graph induces on the vertices outside
-    # `holes`, numbered in order
+    # `holes`, numbered in order; `grouped` makes it invariant under a
+    # cyclic group, which the search is given
     adj = random_graph(size, kind, density, seed)
     idx = [v for v in range(size) if not holes >> v & 1]
     adj = adj[np.ix_(idx, idx)]
-    res = max_clique_bitset(pack_rows(adj), lex_min)
+    automorphisms = None
+    if grouped:
+        group = cyclic_group(len(idx), seed)
+        adj = np.any([adj[np.ix_(g, g)] for g in group], axis=0)
+        automorphisms = group.copy
+    res = max_clique_bitset(pack_rows(adj), lex_min, automorphisms)
     cliques = [sorted(c) for c in nx.find_cliques(nx.from_numpy_array(adj))]
     omega = max(map(len, cliques), default=0)
     assert res.size == omega == len(res.witness)
@@ -495,8 +534,208 @@ def test_swapped_arc01_fibonacci_nodes():
 
 
 def test_arc01_fibonacci_nodes():
-    # the search in the given numbering took 9 984 nodes
-    assert arc01_fibonacci(11).nodes_explored <= 9_984
+    # the search in the given numbering took 9 984 nodes, and without the
+    # walk group and the lex-min pass's found cliques 1 907
+    assert arc01_fibonacci(11).nodes_explored <= 13
+
+
+def omega_s_without_group(D, P, n, lex_min=True):
+    """omega_s searched with the identity alone for its walk group."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zecap.search, "_walk_automorphisms",
+                   lambda arc, P, walks: np.arange(len(walks))[None])
+        return omega_s(D, P, n, lex_min=lex_min)
+
+
+def symmetric_clique_number(D, P, n):
+    """The clique number of the graph omega_s searches, built from its
+    definition and solved by networkx."""
+    walks = [w for w in itertools.product(range(P.k), repeat=n)
+             if all(P.has_arc(a, b) for a, b in zip(w, w[1:]))]
+
+    def arc(u, v):
+        return any(a != b and D.has_arc(a, b) for a, b in zip(u, v))
+
+    g = nx.Graph()
+    g.add_nodes_from(walks)
+    g.add_edges_from((u, v) for u, v in itertools.combinations(walks, 2)
+                     if arc(u, v) and arc(v, u))
+    return max(map(len, nx.find_cliques(g)), default=0)
+
+
+@st.composite
+def digraph_pair(draw, max_k=4):
+    """A digraph D and a type digraph P on the same k vertices.  P is
+    closed under reversal half the time, so that walk reversal is in the
+    walk group."""
+    k = draw(st.integers(1, max_k))
+    pairs = st.sampled_from(list(itertools.product(range(k), repeat=2)))
+    D, P = (draw(st.sets(pairs)) for _ in range(2))
+    if draw(st.booleans()):
+        P |= {(b, a) for a, b in P}
+    return Digraph(k, frozenset(D)), Digraph(k, frozenset(P))
+
+
+def pentagon_labelings():
+    return [Digraph(5, arcs) for arcs in relabelings(cycle_sym_digraph(5), 5)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pentagon_walk_group_keeps_size_and_witness(n):
+    for D in pentagon_labelings():
+        res = omega_s(D, complete_digraph(5), n)
+        plain = omega_s_without_group(D, complete_digraph(5), n)
+        assert (res.size, res.witness) == (plain.size, plain.witness)
+        assert res.size == {2: 4, 3: 10}[n]
+
+
+def test_pentagon_nodes():
+    # the 12 labelings at n=3 took 67 764 nodes in total without the walk
+    # group and the lex-min pass's found cliques
+    results = [omega_s(D, complete_digraph(5), 3)
+               for D in pentagon_labelings()]
+    assert len(results) == 12
+    assert sum(r.nodes_explored for r in results) < 25_000
+
+
+# (D, P) pairs whose searches at n=3 branch on orbits of more than one
+# walk at the root
+ORBIT_EXAMPLES = [
+    (parse_digraph_spec("0>0;0>1;0>2;0>3;1>1;1>2;1>3;2>0;2>1;2>3;3>0;3>3",
+                        4),
+     parse_digraph_spec("0>0;0>1;0>2;0>3;1>0;1>1;1>2;1>3;2>0;2>1;2>3;3>0;"
+                        "3>1;3>2;3>3", 4)),
+    (parse_digraph_spec("0>1;0>2;0>3;1>1;1>3;2>0;2>1;2>2;3>1;3>2;3>3", 4),
+     parse_digraph_spec("0>1;0>2;0>3;1>0;1>1;1>2;1>3;2>0;2>1;2>2;2>3;3>0;"
+                        "3>1;3>2;3>3", 4)),
+    (parse_digraph_spec("1>0;2>1", 3),
+     parse_digraph_spec("0>1;0>2;1>0;1>2;2>0;2>1", 3)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(pair=ORBIT_EXAMPLES[0], n=3, lex_min=True)
+@example(pair=ORBIT_EXAMPLES[1], n=3, lex_min=False)
+@example(pair=ORBIT_EXAMPLES[2], n=3, lex_min=True)
+@given(pair=digraph_pair(), n=st.integers(1, 3), lex_min=st.booleans())
+def test_walk_group_keeps_omega_s(pair, n, lex_min):
+    D, P = pair
+    res = omega_s(D, P, n, lex_min=lex_min)
+    plain = omega_s_without_group(D, P, n, lex_min=lex_min)
+    assert res.size == plain.size == symmetric_clique_number(D, P, n)
+    assert len(res.witness) == res.size
+    if lex_min:
+        assert res.witness == plain.witness
+
+
+@settings(max_examples=100, deadline=None)
+@example(pair=(cycle_sym_digraph(5), complete_digraph(5)), n=3)
+@example(pair=(cycle_sym_digraph(7), complete_digraph(7)), n=2)
+@given(pair=digraph_pair(max_k=7), n=st.integers(1, 3))
+def test_walk_automorphisms_map_rows_onto_themselves(pair, n):
+    D, P = pair
+    arc = D.without_loops().arc_matrix()
+    walks = enumerate_walks(P, n)
+    adj = unpack_rows(distinguishability_matrix(arc, walks), len(walks))
+    perms = _walk_automorphisms(arc, P, walks)
+    assert perms.shape[1] == len(walks)
+    assert list(range(len(walks))) in perms.tolist()
+    for g in perms:
+        assert sorted(g) == list(range(len(walks)))
+        np.testing.assert_array_equal(adj[np.ix_(g, g)], adj)
+
+
+# omega_s instances whose reduction keeps a set that the walk group's
+# other elements map elsewhere, and the pentagon, whose kept set the whole
+# group keeps
+@pytest.mark.parametrize("D, P, n, order", [
+    (parse_digraph_spec("0>0;0>2;1>1;2>1", 4), complete_digraph(4, True), 3,
+     1),
+    (parse_digraph_spec("0>0;1>1;2>1;2>2;2>3;3>0", 4),
+     complete_digraph(4, True), 3, 1),
+    (cycle_sym_digraph(5), complete_digraph(5), 3, 20),
+])
+def test_search_gets_automorphisms_of_the_kept_graph(monkeypatch, D, P, n,
+                                                     order):
+    handed = []
+    search = zecap.search.max_clique_bitset
+
+    def spy(rows, lex_min=True, automorphisms=None):
+        handed.append((unpack_rows(rows, rows.shape[0]), automorphisms()))
+        return search(rows, lex_min, automorphisms)
+
+    monkeypatch.setattr(zecap.search, "max_clique_bitset", spy)
+    omega_s(D, P, n)
+    [(adj, group)] = handed
+    assert len({tuple(g) for g in group.tolist()}) == order
+    for g in group:
+        assert sorted(g) == list(range(len(adj)))
+        np.testing.assert_array_equal(adj[np.ix_(g, g)], adj)
+
+
+def test_pentagon_walk_group_is_dihedral_times_reversal():
+    # 10 relabelings keep the pentagon, each alone and with reversal; over
+    # 7 vertices only the identity is tried, alone and with reversal
+    for k, order in ((5, 20), (7, 2)):
+        D, P = cycle_sym_digraph(k), complete_digraph(k)
+        walks = enumerate_walks(P, 3)
+        perms = _walk_automorphisms(D.arc_matrix(), P, walks)
+        assert len({tuple(g) for g in perms.tolist()}) == order
+
+
+def test_group_is_derived_only_when_the_root_leaves_a_gap(monkeypatch):
+    calls = []
+    derive = zecap.search._walk_automorphisms
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(zecap.search, "_walk_automorphisms", spy)
+    assert exact_M(TRIANGLE_F, 10).nodes_explored == 1
+    assert omega_s(cycle_sym_digraph(6), complete_digraph(6), 3) \
+        .nodes_explored == 1
+    assert calls == []
+    omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(0, 30), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 2**30 - 1),
+       need=st.integers(-1, 12))
+def test_has_clique_of_size_returns_a_clique_or_none(size, density, seed,
+                                                     holes, need):
+    adj = random_graph(size, "random", density, seed)
+    P = (1 << size) - 1 & ~holes
+    inside = [v for v in range(size) if P >> v & 1]
+    omega = max(map(len, nx.find_cliques(
+        nx.from_numpy_array(adj[np.ix_(inside, inside)]))), default=0)
+    found = _has_clique_of_size(_rows_to_bitsets(pack_rows(adj)), P, need,
+                                [0])
+    if need > omega:
+        assert found is None
+    else:
+        clique = [v for v in range(size) if found >> v & 1]
+        assert found & ~P == 0
+        assert len(clique) == max(need, 0)
+        assert all(adj[u, v] for u, v in itertools.combinations(clique, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 25), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_lex_min_witness_does_not_depend_on_the_clique_it_starts_from(
+        size, density, seed):
+    adj = random_graph(size, "random", density, seed)
+    cliques = [sorted(c) for c in nx.find_cliques(nx.from_numpy_array(adj))]
+    omega = max(map(len, cliques))
+    maximum = [c for c in cliques if len(c) == omega]
+    bits = _rows_to_bitsets(pack_rows(adj))
+    for c in maximum[:10]:
+        assert _lex_min_witness(bits, (1 << size) - 1, omega, [0],
+                                range(size), sum(1 << v for v in c)) \
+            == min(maximum)
 
 
 def test_exact_m_holds_no_dense_adjacency():
