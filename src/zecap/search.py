@@ -18,12 +18,18 @@ at one cached witness word and over the whole rows only where that word
 no longer witnesses, and clearing removed vertices' bits from the rows in
 place; compacts the kept set once into the packed rows of the
 graph it induces (`_induced_rows`); and runs branch and bound with
-greedy-coloring bounds on Python-int bitsets of those rows.  Each
-numbering of the search is one permutation of the kept vertices: their row
-order, or their smallest-last (degeneracy) order.  The root's greedy
-clique and coloring are taken in row order, and when they meet no search
-runs; otherwise the search runs in whichever numbering's root coloring
-uses fewer colors.
+greedy-coloring bounds on Python-int bitsets.  The search holds one
+non-neighbor mask per vertex, `far[v]`, the complement of
+`adj[v] | 1 << v` within the kept set's bits (`_rows_to_bitsets`): a
+coloring step is one `q &= far[v]`, and v's neighbors are taken only at
+a branch.  Each node colors only the vertices it can branch on, those of
+color at least `kmin` (`best - depth + 1` in branch and bound, the size
+still needed in a decision); the classes below are stripped and not
+recorded, which changes no decision.  Each numbering of the search is
+one permutation of the kept vertices: their row order, or their
+smallest-last (degeneracy) order.  The root's greedy clique and coloring
+are taken in row order, and when they meet no search runs; otherwise the
+search runs in whichever numbering's root coloring uses fewer colors.
 
 Only then is the walk group derived (`_walk_automorphisms`), so a search
 that closes at the root does no symmetry work.  It comes from the input:
@@ -93,9 +99,12 @@ class SearchResult:
         }
 
 
-def _color_classes(adj: list[int], P: int) -> tuple[list[int], list[int]]:
-    """Greedy sequential coloring of bitset P: the vertices class by class
-    and the color of each, so colors are nondecreasing."""
+def _color_classes(far: list[int], P: int, kmin: int
+                   ) -> tuple[list[int], list[int]]:
+    """Greedy sequential coloring of bitset P, each class built lowest
+    vertex first: the vertices whose color is at least kmin, class by
+    class, and the color of each, so colors are nondecreasing.  The
+    classes below kmin are stripped with nothing recorded."""
     order: list[int] = []
     colors: list[int] = []
     uncolored = P
@@ -103,26 +112,35 @@ def _color_classes(adj: list[int], P: int) -> tuple[list[int], list[int]]:
     while uncolored:
         color += 1
         q = uncolored
-        while q:
-            v = (q & -q).bit_length() - 1
-            bit = 1 << v
-            q &= ~adj[v]
-            q &= ~bit
-            uncolored &= ~bit
-            order.append(v)
-            colors.append(color)
+        if color < kmin:
+            while q:
+                low = q & -q
+                uncolored ^= low
+                q &= far[low.bit_length() - 1]
+        else:
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                uncolored ^= low
+                q &= far[v]
+                order.append(v)
+                colors.append(color)
     return order, colors
 
 
 class _CliqueKernel:
-    """Tomita-style branch and bound on bitset adjacency rows.  `orbit[v]`
+    """Tomita-style branch and bound on non-neighbor masks: `far[v]` is the
+    bitset of the vertices other than v that are not adjacent to v, so one
+    coloring step is `q &= far[v]`, and v's neighbors in P, v among them,
+    are `P & ~far[v] ^ 1 << v`.  A node colors only the vertices that can
+    be branched on, those of color at least best - depth + 1.  `orbit[v]`
     is the bitset of v's orbit under a group of automorphisms of the
     graph, or v alone."""
 
-    def __init__(self, adj: list[int], seed: Sequence[int],
+    def __init__(self, far: list[int], seed: Sequence[int],
                  orbit: list[int]):
-        self.adj = adj
-        self.single = [1 << v for v in range(len(adj))]
+        self.far = far
+        self.single = [1 << v for v in range(len(far))]
         self.orbit = orbit
         self.nodes = 0
         self.best = len(seed)
@@ -131,23 +149,23 @@ class _CliqueKernel:
     def expand(self, R: list[int], P: int,
                root: tuple[list[int], list[int]] = ()) -> None:
         """Branch on the vertices of P, last color class first, dropping
-        each from P once its branch is done.  `root` is P's coloring at the
-        root, where a branch drops its vertex's whole orbit: a clique
-        through a dropped vertex has an image through the branched one
-        that avoids the orbits dropped before, so
+        each from P once its branch is done.  `root` is P's full coloring
+        at the root, where a branch drops its vertex's whole orbit: a
+        clique through a dropped vertex has an image through the branched
+        one that avoids the orbits dropped before, so
         omega = max_i (1 + omega(N(v_i) minus O_1 ... O_(i-1)))."""
         self.nodes += 1
-        adj = self.adj
-        order, colors = root or _color_classes(adj, P)
-        drop = self.orbit if root else self.single
+        far = self.far
         depth = len(R)
+        order, colors = root or _color_classes(far, P, self.best - depth + 1)
+        drop = self.orbit if root else self.single
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= self.best:
                 return
             v = order[i]
             if not P >> v & 1:
                 continue  # dropped with an earlier vertex's orbit
-            new_P = P & adj[v]
+            new_P = P & ~far[v] ^ 1 << v
             R.append(v)
             if new_P:
                 self.expand(R, new_P)
@@ -158,46 +176,44 @@ class _CliqueKernel:
             P &= ~drop[v]
 
 
-def _greedy_clique(adj: list[int], P: int) -> list[int]:
+def _greedy_clique(far: list[int], P: int) -> list[int]:
     """First-fit clique inside bitset P, lowest vertex first."""
     clique: list[int] = []
     while P:
         v = (P & -P).bit_length() - 1
         clique.append(v)
-        P &= adj[v]
+        P = P & ~far[v] ^ 1 << v
     return clique
 
 
-def _has_clique_of_size(adj: list[int], P: int, need: int,
+def _has_clique_of_size(far: list[int], P: int, need: int,
                         kernel_nodes: list[int]) -> int | None:
     """Decision variant: the bitset of a clique of exactly `need` vertices
     inside bitset P, or None when the graph induced on P has none.  Greedy
-    lower bound first, then the coloring bound."""
+    lower bound first, then the coloring bound: only vertices of color at
+    least `need` are branched on."""
     if need <= 0:
         return 0
     if P.bit_count() < need:
         return None
-    clique = _greedy_clique(adj, P)
+    clique = _greedy_clique(far, P)
     if len(clique) >= need:
         return sum(1 << v for v in clique[:need])
-    order, colors = _color_classes(adj, P)
-    if colors[-1] < need:
+    order, _ = _color_classes(far, P, need)
+    if not order:
         return None
     kernel_nodes[0] += 1
     rest = P
-    for i in range(len(order) - 1, -1, -1):
-        if colors[i] < need:
-            return None
-        v = order[i]
-        found = _has_clique_of_size(adj, rest & adj[v], need - 1,
+    for v in reversed(order):
+        found = _has_clique_of_size(far, rest & ~far[v] ^ 1 << v, need - 1,
                                     kernel_nodes)
         if found is not None:
             return found | 1 << v
-        rest &= ~(1 << v)
+        rest ^= 1 << v
     return None
 
 
-def _lex_min_witness(adj: list[int], P: int, size: int, nodes: list[int],
+def _lex_min_witness(far: list[int], P: int, size: int, nodes: list[int],
                      scan: Sequence[int], found: int) -> list[int]:
     """The clique of the known maximum size inside bitset P that comes
     first in the order of `scan`, which lists P's members: each member in
@@ -213,21 +229,26 @@ def _lex_min_witness(adj: list[int], P: int, size: int, nodes: list[int],
             break
         if not P >> v & 1:
             continue
+        near = P & ~far[v] ^ 1 << v
         if not found >> v & 1:
-            rest = _has_clique_of_size(adj, P & adj[v],
-                                       size - len(chosen) - 1, nodes)
+            rest = _has_clique_of_size(far, near, size - len(chosen) - 1,
+                                       nodes)
             if rest is None:
                 continue
             found = rest | kept | 1 << v
         chosen.append(v)
         kept |= 1 << v
-        P &= adj[v]
+        P = near
     return chosen
 
 
 def _rows_to_bitsets(rows: np.ndarray) -> list[int]:
-    """Python-int bitsets of packed rows."""
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    """The non-neighbor mask of each vertex of the graph on packed rows:
+    far[v] is the Python-int bitset of the vertices other than v that are
+    not adjacent to v, as wide as the graph."""
+    full = (1 << rows.shape[0]) - 1
+    return [full ^ (int.from_bytes(row.tobytes(), "little") | 1 << v)
+            for v, row in enumerate(rows)]
 
 
 def _induced_rows(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -286,7 +307,12 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     `lex_min` then replaces the witness by the lexicographically smallest
     maximum clique (deterministic mode), decided in the search's numbering
     with the candidates tried in vertex order, starting from the clique
-    the search found."""
+    the search found.
+
+    The rows become one non-neighbor mask per vertex (`_rows_to_bitsets`).
+    The root colorings are complete (`kmin` 1), since their last colors
+    are compared; every coloring below the root keeps only the classes of
+    color at least `kmin`, the ones it can branch on."""
     n = rows.shape[0]
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
@@ -296,30 +322,30 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
     P = (1 << n) - 1
     order = np.arange(n)
-    adj = _rows_to_bitsets(rows)
-    seed = _greedy_clique(adj, P)
-    root = _color_classes(adj, P)
+    far = _rows_to_bitsets(rows)
+    seed = _greedy_clique(far, P)
+    root = _color_classes(far, P, 1)
     if root[1][-1] > len(seed):
         sl_order = _smallest_last(rows)
-        sl_adj = _rows_to_bitsets(_induced_rows(rows, sl_order))
-        sl_seed = sl_order[_greedy_clique(sl_adj, P)].tolist()
+        sl_far = _rows_to_bitsets(_induced_rows(rows, sl_order))
+        sl_seed = sl_order[_greedy_clique(sl_far, P)].tolist()
         if len(sl_seed) > len(seed):
             seed = sl_seed
-        sl_root = _color_classes(sl_adj, P)
+        sl_root = _color_classes(sl_far, P, 1)
         if sl_root[1][-1] < root[1][-1]:
-            order, adj, root = sl_order, sl_adj, sl_root
+            order, far, root = sl_order, sl_far, sl_root
     rank = np.argsort(order)  # the number of each vertex
     label = np.arange(n)
     if root[1][-1] > len(seed) and automorphisms is not None:
         # vertices share an orbit when they share their least image
         label = automorphisms().min(axis=0)[order]
-    kern = _CliqueKernel(adj, rank[seed].tolist(), _orbit_bitsets(label))
+    kern = _CliqueKernel(far, rank[seed].tolist(), _orbit_bitsets(label))
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min and kern.best < n:
         # a clique of all n vertices is the only maximum clique
-        witness = _lex_min_witness(adj, P, kern.best, nodes, rank.tolist(),
+        witness = _lex_min_witness(far, P, kern.best, nodes, rank.tolist(),
                                    sum(1 << v for v in witness))
     return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
                         time.perf_counter() - t0, lex_min)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import zecap.search as search
-from zecap.model import TRIANGLE_F
+from zecap.model import TRIANGLE_F, complete_digraph, cycle_sym_digraph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +32,14 @@ def test_traced_wraps_and_restores_every_stage(monkeypatch):
     assert {"search.build_s", "search.reduce_s", "search.pack_s",
             "search.bnb_s"} <= names
     assert t.counts["search.universe"] == 64
+
+
+def test_traced_search_counts_nodes_and_every_decision(monkeypatch):
+    # the decision search recurses through its module attribute, so the
+    # tracer's tally counts the recursive calls as well as the top ones
+    tracer = load_tracer(monkeypatch)
+    with tracer.traced(tracer.Tracer()) as t:
+        res = search.omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
+    assert res.size == 10
+    assert t.counts["search.nodes"] == 2194
+    assert t.counts["search.lexmin_calls"] == 678
