@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from .model import (
     NAMED_DIGRAPHS,
     ResourceCapExceeded,
     SpecError,
+    check_words,
     parse_channel_spec,
     parse_digraph_spec,
 )
@@ -89,6 +91,9 @@ def parse_tail(text: str | None) -> tuple[int, int] | None:
 
 
 def read_word_file(path: str) -> Code:
+    """The code in a word file, one word per line.  A word that repeats,
+    or the first one that is not a binary word of the first word's length,
+    is named in file order."""
     with open(path, "r", encoding="ascii") as fh:
         words = [line.rstrip("\n") for line in fh if line.strip()]
     if not words:
@@ -99,13 +104,18 @@ def read_word_file(path: str) -> Code:
         if w in seen:
             raise SpecError(f"word {w!r} repeats in {path}")
         seen.add(w)
-    return Code(len(words[0]), seen)
+    try:
+        return Code(len(words[0]), seen)
+    except SpecError:
+        check_words(words, len(words[0]))
+        raise
 
 
 def write_word_file(path: str, code: Code) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for w in code.sorted_words():
-            fh.write(w + "\n")
+    """The sorted words, one per line, in one write of
+    `Code.sorted_lines`."""
+    with open(path, "wb") as fh:
+        fh.write(code.sorted_lines().tobytes())
 
 
 # Each command returns the echo of its inputs, its outputs and its exit
@@ -224,7 +234,10 @@ def cmd_report(args) -> tuple[dict, dict, int]:
              "csv": None if args.out else csv_text}, EXIT_OK)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it unchanged, so
+    it is built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="zecap",
         description="Zero-error capacity toolkit for binary channels with "

@@ -17,7 +17,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,20 +103,44 @@ def decompose(x: str, S: MinistringSet) -> list[str]:
     the right; postfix-freeness makes at most one member match at each
     step."""
     check_word(x)
+    return _factorizer(S, len(x))(x)
+
+
+def _factorizer(S: MinistringSet, n: int) -> Callable[[str], list[str]]:
+    """`decompose` for binary words of length <= n, with S checked and its
+    members listed once for all of them."""
     if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
-    members = S.members_up_to(len(x))
-    parts: list[str] = []
-    rest = x
-    while rest:
-        match = next((s for s in members if rest.endswith(s)), None)
-        if match is None:
-            raise NotDecomposable(f"{x!r} is not a concatenation of "
-                                  f"ministrings")
-        parts.append(match)
-        rest = rest[:-len(match)]
-    parts.reverse()
-    return parts
+    members = S.members_up_to(n)
+
+    def factor(x: str) -> list[str]:
+        parts: list[str] = []
+        rest = x
+        while rest:
+            match = next((s for s in members if rest.endswith(s)), None)
+            if match is None:
+                raise NotDecomposable(f"{x!r} is not a concatenation of "
+                                      f"ministrings")
+            parts.append(match)
+            rest = rest[:-len(match)]
+        parts.reverse()
+        return parts
+    return factor
+
+
+def _concatenations(prefixes: list[str], layers: list[np.ndarray],
+                    width: int) -> np.ndarray:
+    """Rows of `width` ASCII bytes: for each prefix in turn, the prefix
+    followed by each row of the layer that fills the rest of the width."""
+    rests = [layers[width - len(p)] for p in prefixes]
+    out = np.empty((sum(len(r) for r in rests), width), dtype=np.uint8)
+    row = 0
+    for p, rest in zip(prefixes, rests):
+        block = out[row:row + len(rest)]
+        block[:, :len(p)] = np.frombuffer(p.encode("ascii"), dtype=np.uint8)
+        block[:, len(p):] = rest
+        row += len(rest)
+    return out
 
 
 def ministring_code(S: MinistringSet, n: int,
@@ -125,7 +149,10 @@ def ministring_code(S: MinistringSet, n: int,
     the words w for which "0" + w is a length-(n+1) concatenation.
 
     Raises ResourceCapExceeded, before building anything, when the code
-    would hold more than MAX_CODE_WORDS words."""
+    would hold more than MAX_CODE_WORDS words.  Each length-m layer is an
+    (a_m, m) uint8 matrix of ASCII bytes, built by the recurrence as one
+    block per first member.  The words' matrix becomes the word set by one
+    decode and split of its buffer, so no word is built by a Python loop."""
     if n < 1:
         raise SpecError("n must be >= 1")
     count = ministring_count(S, n, leading_zero)
@@ -135,18 +162,20 @@ def ministring_code(S: MinistringSet, n: int,
     if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
     members = S.members_up_to(n + 1)
-    # layers[m] lists the length-m concatenations as a first member then a
+    # layers[m] holds the length-m concatenations as a first member then a
     # shorter concatenation; postfix-freeness makes them all distinct
-    layers = [[""]]
+    layers = [np.empty((1, 0), dtype=np.uint8)]
     for m in range(1, n + 1):
-        layers.append([s + rest for s in members if len(s) <= m
-                       for rest in layers[m - len(s)]])
+        layers.append(_concatenations([s for s in members if len(s) <= m],
+                                      layers, m))
     if leading_zero:
-        words = layers[n]
+        rows = layers[n]
     else:
-        words = [s[1:] + rest for s in members if s[0] == "0"
-                 for rest in layers[n + 1 - len(s)]]
-    return Code(n, set(words))
+        rows = _concatenations([s[1:] for s in members if s[0] == "0"],
+                               layers, n)
+    lines = np.full((len(rows), n + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :n] = rows
+    return Code(n, set(lines.tobytes().decode("ascii").split()))
 
 
 def ministring_count(S: MinistringSet, n: int,
@@ -182,9 +211,10 @@ def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:
     """Partition the code by the number of `block` factors in each word's
     decomposition and return a class of maximum cardinality (ties broken by
     the smallest count)."""
+    factor = _factorizer(S, code.n)
     classes: dict[int, set[str]] = {}
     for w in code.words:
-        count = decompose(w, S).count(block)
+        count = factor(w).count(block)
         classes.setdefault(count, set()).add(w)
     best = max(sorted(classes), key=lambda c: (len(classes[c]), -c))
     return Code(code.n, classes[best])
@@ -260,23 +290,47 @@ class VerificationReport:
 
 def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
     """Check every unordered pair of the code for distinguishability;
-    failing pairs are reported sorted, capped at 100.  Rows of G's power
-    over the sorted words are taken a bounded block at a time."""
-    words = code.sorted_words()
-    k = len(words)
-    codes = pair_codes(words, code.n)
+    failing pairs are reported sorted, capped at 100.  The words come from
+    `Code.sorted_lines`, and rows of G's power over them are taken a
+    bounded block at a time.  Each block's upper triangle is tested on its
+    packed words; only the rows that hold reported failures are unpacked,
+    and no block is built once 100 failures are found."""
+    lines = code.sorted_lines()
+    k = len(lines)
+    codes = pair_codes(lines[:, :-1])
     arc = G.arc_matrix()
     rows = max(1, VERIFY_BLOCK_PAIRS // max(k, 1))
     failures: list[tuple[str, str]] = []
+
+    def word(i: int) -> str:
+        return lines[i, :-1].tobytes().decode("ascii")
+
     for i0 in range(0, k, rows):
-        # block entry [r, c] is the pair (i0 + r, i0 + 1 + c); keep c >= r
-        block = unpack_rows(power_adjacency(arc, codes[i0:i0 + rows],
-                                            codes[i0 + 1:]), k - i0 - 1)
-        bad_r, bad_c = np.nonzero(np.triu(~block))
         room = VerificationReport.MAX_FAILURES - len(failures)
-        failures += [(words[i0 + r], words[i0 + 1 + c])
+        if not room:
+            break
+        # block entry [r, c] is the pair (i0 + r, i0 + 1 + c); keep c >= r
+        width = k - i0 - 1
+        packed = power_adjacency(arc, codes[i0:i0 + rows], codes[i0 + 1:])
+        bad = ~packed & _upper_mask(len(packed), width)
+        hit = np.flatnonzero(bad.any(axis=1))[:room]
+        bad_r, bad_c = np.nonzero(unpack_rows(bad[hit], width))
+        failures += [(word(i0 + hit[r]), word(i0 + 1 + c))
                      for r, c in zip(bad_r[:room], bad_c[:room])]
     return VerificationReport(not failures, k * (k - 1) // 2, failures)
+
+
+# _LOW_BITS[b] has the low b bits of a 64-bit word set, b = 0..64
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype="<u8")
+
+
+def _upper_mask(rows: int, width: int) -> np.ndarray:
+    """`pack_rows` form of the rows x width matrix that is set at [r, c]
+    iff c >= r."""
+    first = 64 * np.arange(-(-width // 64))    # first column of each word
+    lo = np.clip(np.arange(rows)[:, None] - first, 0, 64)
+    hi = np.clip(width - first, 0, 64)
+    return _LOW_BITS[hi] & ~_LOW_BITS[lo]
 
 
 # family -> (ministring set, leading_zero); after a 0, the tribonacci set

@@ -10,7 +10,7 @@ index convention; serialized positions are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,15 @@ def check_word(w: str) -> str:
     if not w or w.strip("01"):
         raise SpecError(f"not a binary word: {w!r}")
     return w
+
+
+def check_words(words: Iterable[str], n: int) -> None:
+    """Raise SpecError naming the first of `words`, in the order given,
+    that is not a binary word of length n."""
+    for w in words:
+        check_word(w)
+        if len(w) != n:
+            raise SpecError(f"word {w!r} has length {len(w)}, expected {n}")
 
 
 @dataclass(frozen=True)
@@ -107,16 +116,48 @@ class Digraph:
 
 @dataclass
 class Code:
-    """A set of distinct equal-length binary words."""
+    """A set of distinct equal-length binary words.
+
+    `words` is the source of truth and may change after construction:
+    `sorted_lines` recomputes its matrix from the set on every call.  The
+    words are validated on their joined bytes in one vectorized test; only
+    when it fails are they walked, in sorted order, to name the first bad
+    word, so the message does not depend on the set's hash order."""
 
     n: int
     words: set[str] = field(default_factory=set)
 
     def __post_init__(self):
-        for w in self.words:
-            check_word(w)
-            if len(w) != self.n:
-                raise SpecError(f"word {w!r} has length {len(w)}, expected {self.n}")
+        self._lines()
+
+    def _lines(self) -> np.ndarray:
+        """The words in set order as a (len, n + 1) uint8 matrix: each row
+        is a word's ASCII bytes and then a newline byte."""
+        k, width = len(self.words), max(self.n, 0) + 1
+        # "replace" keeps one byte per character, so a non-ASCII character
+        # is one "?" byte and fails the digit test
+        data = np.frombuffer("\n".join([*self.words, ""]).encode(
+            "ascii", "replace"), dtype=np.uint8)
+        if data.size == k * width and (self.n >= 1 or not k):
+            lines = data.reshape(k, width)
+            # with only digits before the last column, the k newlines that
+            # end the words fill that column, so every word is n digits
+            # (bytes below "0" wrap to large uint8 differences)
+            if (lines[:, :-1] - np.uint8(ord("0")) <= 1).all():
+                return lines
+        check_words(sorted(self.words), self.n)
+        raise AssertionError("the joined test refused valid words")
+
+    def sorted_lines(self) -> np.ndarray:
+        """The word file's bytes as a (len, n + 1) uint8 matrix: the words
+        in lexicographic order, one per row in ASCII, each followed by a
+        newline byte.  `[:, :-1]` is the words' digit matrix."""
+        lines = self._lines()
+        # the rows' low bits, packed big-endian eight to a byte, sort as the
+        # words do (a newline's low bit is 0 in every row); lexsort's last
+        # key is its primary one
+        keys = np.packbits(lines & 1, axis=1)
+        return lines[np.lexsort(keys.T[::-1])]
 
     def sorted_words(self) -> list[str]:
         return sorted(self.words)
@@ -177,11 +218,11 @@ def distinguishable(x: str, y: str, G: ChannelGraph) -> bool:
     return False
 
 
-def pair_codes(words: Sequence[str], n: int) -> np.ndarray:
-    """(len(words), n-1) array of length-n words in pair letters: entry
-    [w, i] is the pair-letter index of words[w][i:i+2]."""
-    bits = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    bits = (bits - ord("0")).reshape(len(words), n)
+def pair_codes(rows: np.ndarray) -> np.ndarray:
+    """(k, n-1) pair letters of a (k, n) uint8 matrix of words in ASCII
+    "0"/"1" bytes (as `Code.sorted_lines()[:, :-1]`): entry [w, i] is the
+    pair-letter index of row w's digits i and i+1."""
+    bits = rows - np.uint8(ord("0"))
     return 2 * bits[:, :-1] + bits[:, 1:]
 
 

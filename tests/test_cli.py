@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +9,18 @@ from pathlib import Path
 import pytest
 
 import zecap.cli
+from zecap.model import Code
 
 CLI = [sys.executable, "-m", "zecap.cli"]
 # the child imports the zecap this process imported, installed or not
 SRC = str(Path(zecap.cli.__file__).parents[1])
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, env=(), **kwargs):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+                          env={**os.environ, **dict(env), "PYTHONPATH": path},
+                          **kwargs)
 
 
 def record_of(proc):
@@ -156,6 +160,74 @@ class TestConstructCommand:
                 "--out", str(out))
         text = out.read_text()
         assert text == "000\n001\n010\n100\n101\n"
+
+
+# sha256 of `construct --family F --n 18 --out FILE`, from the per-word
+# string writer this one-write output replaced
+CONSTRUCT_18_SHA256 = {
+    "fibonacci":
+        "c9d8d19281f2f11231fd5dee7f8c33b88f6b6167dd051a7b201001b7967f4236",
+    "ministring-tribonacci":
+        "f4f1e257fcaea3e65b6b2051c08e4d1a8e80fa1fc320673443691c9243a621ce",
+    "no-isolated-ones":
+        "efce0d71fb19eb8833158962b668f8676f169ce084db2c70b8fc72e6bb2b1304",
+    "no111":
+        "56fd2a718eb18fa463d3d4480a49bcfa87ae66c04e0714ab3f16bed18653091c",
+    "oddrun":
+        "f08673d3960b4facdf6cfb4c99b53da5a692038be6ab3cc854932cced8b8509f",
+}
+
+
+class TestWordFiles:
+    @pytest.mark.parametrize("family", sorted(CONSTRUCT_18_SHA256))
+    def test_construct_files_at_18_are_pinned(self, family, tmp_path,
+                                              capsys):
+        out = tmp_path / "code.txt"
+        assert zecap.cli.main(["construct", "--family", family, "--n", "18",
+                               "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            CONSTRUCT_18_SHA256[family]
+
+    def test_write_is_the_sorted_lines(self, tmp_path):
+        rng = random.Random(18)
+        out = tmp_path / "code.txt"
+        for n in list(range(1, 21)) + [64, 65, 200]:
+            size = rng.randint(1, min(300, 2**n))
+            words = {format(rng.getrandbits(n), f"0{n}b")
+                     for _ in range(size)}
+            zecap.cli.write_word_file(str(out), Code(n, words))
+            assert out.read_bytes() == \
+                "".join(w + "\n" for w in sorted(words)).encode("ascii")
+        zecap.cli.write_word_file(str(out), Code(4, set()))
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("text, error", [
+        ("0a1\n01b\n011\n", "not a binary word: '0a1'"),
+        ("011\n0111\n01\n", "word '0111' has length 4, expected 3"),
+        ("011\n01\n0111\n", "word '01' has length 2, expected 3"),
+    ])
+    def test_verify_names_the_first_bad_word_in_file_order(self, text,
+                                                            error, tmp_path):
+        code = tmp_path / "bad.txt"
+        code.write_text(text)
+        errors = set()
+        for seed in ("1", "2"):
+            proc = run_cli("verify", "--code", str(code), "--channel", "F",
+                           env={"PYTHONHASHSEED": seed})
+            assert (proc.returncode, proc.stdout) == (2, "")
+            errors.add(proc.stderr)
+        assert errors == {f"error: {error}\n"}
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert zecap.cli.build_parser() is zecap.cli.build_parser()
+    echoed = []
+    for argv in (["exact", "--channel", "F", "--n", "3",
+                  "--no-deterministic"], ["exact", "--channel", "F",
+                                          "--n", "3"]):
+        assert zecap.cli.main(argv) == 0
+        echoed.append(json.loads(capsys.readouterr().out)["inputs"])
+    assert [r["deterministic"] for r in echoed] == [False, True]
 
 
 class TestVerifyCommand:

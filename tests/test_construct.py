@@ -13,6 +13,7 @@ from zecap.model import (
     parse_channel_spec,
 )
 from zecap.construct import (
+    _FAMILY_SETS,
     FAMILIES,
     FAMILY_COUNTS,
     G_STAR_00,
@@ -87,6 +88,39 @@ class TestMinistringCode:
     def test_every_word_decomposes(self, n):
         for w in ministring_code(TRIBONACCI_SET, n).words:
             assert "".join(decompose(w, TRIBONACCI_SET)) == w
+
+
+def _string_layer_code(S, n, leading_zero):
+    """Reference enumerator: the same recurrence over lists of strings,
+    as ministring_code built it before it worked on byte matrices."""
+    members = S.members_up_to(n + 1)
+    layers = [[""]]
+    for m in range(1, n + 1):
+        layers.append([s + rest for s in members if len(s) <= m
+                       for rest in layers[m - len(s)]])
+    if leading_zero:
+        return layers[n]
+    return [s[1:] + rest for s in members if s[0] == "0"
+            for rest in layers[n + 1 - len(s)]]
+
+
+class TestArrayEnumerator:
+    # the family rows, and postfix-free sets whose tails repeat a finite
+    # member or hold members that start with 1
+    SETS = [S for S, _ in _FAMILY_SETS.values()] + [
+        MinistringSet(("0", "011", "01111"), tail=(3, 2)),
+        MinistringSet(("00", "10"), tail=(2, 1))]
+
+    @pytest.mark.parametrize("leading_zero", [True, False])
+    @pytest.mark.parametrize("index", range(len(SETS)))
+    def test_matches_string_layers(self, index, leading_zero):
+        S = self.SETS[index]
+        assert postfix_free(S)
+        for n in range(1, 17):
+            words = _string_layer_code(S, n, leading_zero)
+            code = ministring_code(S, n, leading_zero)
+            assert len(set(words)) == len(words)
+            assert code.n == n and code.words == set(words)
 
 
 class TestDecompose:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zecap.model import (
+    Code,
     Digraph,
     FIBONACCI_DIGRAPH,
     MAX_VERTICES,
@@ -13,6 +14,7 @@ from zecap.model import (
     TRIANGLE_F,
     all_words,
     check_word,
+    check_words,
     complete_digraph,
     count_walks,
     distinguishable,
@@ -27,6 +29,35 @@ from zecap.model import (
 words_st = st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
     .map(lambda p: (format(p[0], f"0{n}b"), format(p[1], f"0{n}b"))))
+
+
+class TestCodeValidation:
+    # word sets whose lengths add up to a multiple of n while some word is
+    # short, or that hide a newline, a non-ASCII digit or an empty word
+    @given(st.integers(0, 4),
+           st.sets(st.text(alphabet="01x\n１", max_size=5), max_size=6))
+    def test_matches_the_per_word_check_in_sorted_order(self, n, words):
+        try:
+            check_words(sorted(words), n)
+        except SpecError as exc:
+            with pytest.raises(SpecError) as got:
+                Code(n, words)
+            assert str(got.value) == str(exc)
+        else:
+            assert len(Code(n, words)) == len(words)
+
+    @pytest.mark.parametrize("n, words", [
+        (2, {"0", "011"}), (3, {"0\n1"}), (2, {"0１"}), (0, {""}),
+        (1, {"0", ""}), (2, {"01", "1\n"})])
+    def test_rejects_words_the_joined_bytes_could_hide(self, n, words):
+        with pytest.raises(SpecError):
+            Code(n, words)
+
+    def test_names_the_first_bad_word_in_sorted_order(self):
+        with pytest.raises(SpecError, match="'01b'"):
+            Code(3, {"0a1", "01b", "011"})
+        with pytest.raises(SpecError, match="'01' has length 2"):
+            Code(3, {"011", "0111", "0110", "01"})
 
 
 def all_channel_graphs():

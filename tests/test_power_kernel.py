@@ -44,6 +44,12 @@ def digraphs(k: int):
         lambda s: Digraph(k, frozenset(s)))
 
 
+def digit_rows(words):
+    """The words' ASCII bytes, one row each: `pair_codes`'s input."""
+    return np.array([[ord(c) for c in w] for w in words],
+                    dtype=np.uint8).reshape(len(words), -1)
+
+
 @st.composite
 def codes(draw):
     n = draw(st.integers(1, 5))
@@ -86,7 +92,7 @@ class TestPowerAdjacency:
     def test_distinguishability_matrix(self, G, n):
         words = list(all_words(n))
         mat = unpack_rows(distinguishability_matrix(
-            G.arc_matrix(), pair_codes(words, n)), len(words))
+            G.arc_matrix(), pair_codes(digit_rows(words))), len(words))
         for i, j in itertools.product(range(len(words)), repeat=2):
             assert mat[i, j] == distinguishable(words[i], words[j], G)
 
@@ -124,12 +130,12 @@ class TestPowerAdjacency:
         # exact_M's vertex v is the word of v in binary
         walks = enumerate_walks(pair_shift_digraph(), n - 1)
         np.testing.assert_array_equal(
-            walks, pair_codes(list(all_words(n)), n))
+            walks, pair_codes(digit_rows(list(all_words(n)))))
 
     def test_pair_codes(self):
-        codes_ = pair_codes(["0110", "1001"], 4)
+        codes_ = pair_codes(digit_rows(["0110", "1001"]))
         assert codes_.tolist() == [[1, 3, 2], [2, 0, 1]]
-        assert pair_codes(["0", "1"], 1).shape == (2, 0)
+        assert pair_codes(digit_rows(["0", "1"])).shape == (2, 0)
 
 
 def scalar_words(bits):
@@ -192,6 +198,45 @@ class TestVerifyCodeOracle:
         assert got.checked_pairs == 32 * 31 // 2
         assert got.to_record() == reference_report(code, edgeless).to_record()
         assert len(got.failures) == VerificationReport.MAX_FAILURES
+
+    # code sizes on both sides of the triangle mask's 64-bit word edges;
+    # channels under which a code fails no pair (every edge), more than 100
+    # pairs (none), or, for the first 55 words, exactly 100; the last one
+    # fails 101 pairs of the first 200 words, under half of them in the
+    # first 100 rows
+    SIZES = [1, 2, 55, 63, 64, 65, 129, 200]
+    CHANNELS = ["00-01;00-10;00-11;01-10;01-11;10-11", "", "00-01",
+                "00-01;01-10", "00-10;00-11;01-11;10-11"]
+
+    @staticmethod
+    def brute_force(size, channel):
+        words = [format(v, "09b") for v in range(size)]
+        G = parse_channel_spec(channel)
+        failures = [[x, y] for i, x in enumerate(words)
+                    for y in words[i + 1:] if not distinguishable(x, y, G)]
+        return words, G, failures
+
+    def test_cases_fail_none_exactly_100_and_more(self):
+        counts = {channel: len(self.brute_force(55, channel)[2])
+                  for channel in self.CHANNELS}
+        assert counts == {self.CHANNELS[0]: 0, "": 55 * 54 // 2,
+                          "00-01": 185, "00-01;01-10": 100,
+                          self.CHANNELS[-1]: 29}
+        failures = self.brute_force(200, self.CHANNELS[-1])[2]
+        rows = [int(x, 2) for x, _ in failures]
+        assert len(failures) == 101 and sum(r < 100 for r in rows) == 53
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**20])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_matches_brute_force_across_word_edges(self, size, channel,
+                                                   block):
+        words, G, failures = self.brute_force(size, channel)
+        with mock.patch.object(construct, "VERIFY_BLOCK_PAIRS", block):
+            got = verify_code(Code(9, set(words)), G)
+        assert got.to_record() == {
+            "pass": not failures, "checked_pairs": size * (size - 1) // 2,
+            "failures": failures[:VerificationReport.MAX_FAILURES]}
 
     def test_single_word_and_length_one(self):
         F = parse_channel_spec("00-01;00-10;01-10")
