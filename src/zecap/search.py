@@ -12,13 +12,16 @@ size exists.
 Every adjacency is held as the packed rows of `model.power_adjacency`,
 never as an N x N boolean array; their bits are reached here only through
 `model.pack_rows` and `model.unpack_rows`.  The pipeline removes dominated
-vertices on the rows' uint64 words, listing their non-adjacent pairs from the
-nonzero words of ~row & keep, testing each pair's subset relation first
-at one cached witness word and over the whole rows only where that word
-no longer witnesses, and clearing removed vertices' bits from the rows in
-place; compacts the kept set once into the packed rows of the
-graph it induces (`_induced_rows`); and runs branch and bound with
-greedy-coloring bounds on Python-int bitsets.  The search holds one
+vertices on the rows' uint64 words: it cuts twins by a hash of each row,
+checked by an exact comparison; lists the non-adjacent pairs from the
+nonzero words of ~row & keep; tests each pair's subset relation first at
+one cached witness word, at first the word of t's own bit, and over the
+whole rows only where that word no longer witnesses; and clears removed
+vertices' bits from the rows in place.  A kept set that is a clique is
+the answer, returned without a search.  Otherwise the pipeline compacts
+the kept set once into the packed rows of the graph it induces
+(`_induced_rows`) and runs branch and bound with greedy-coloring bounds
+on Python-int bitsets.  The search holds one
 non-neighbor mask per vertex, `far[v]`, the complement of
 `adj[v] | 1 << v` within the kept set's bits (`_rows_to_bitsets`): a
 coloring step is one `q &= far[v]`, and v's neighbors are taken only at
@@ -77,6 +80,10 @@ from .model import (
     power_adjacency,
     unpack_rows,
 )
+
+# the odd constant whose powers weigh the twin cut's row hash (`_row_hashes`):
+# 2^64 over the golden ratio
+_ROW_HASH = 0x9E3779B97F4A7C15
 
 
 @dataclass
@@ -384,6 +391,8 @@ def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
     k = int(keep.sum())
     s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
                     np.min_scalar_type(n))
+    if not len(s):
+        return s, t
     keep_words = pack_rows(keep[None])[0]
     step = max(1, 2**14 // max(width, 1))
     at = 0
@@ -403,6 +412,27 @@ def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
     return s, t
 
 
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """One uint64 per packed row: its 32-bit halves, the low halves of
+    words 0..w-1 and then the high ones, times the powers C, C^2, ...,
+    C^2w of C = `_ROW_HASH`, summed with wrapping.  Halves keep a
+    difference in the words' top bits from vanishing mod 2^64 (2^63 in
+    two words does under any odd multipliers), and powers of C have no
+    relation with small coefficients for rows to match (word multipliers
+    C, 3C make the rows {0, 1} and {64} collide).  2^14 words of rows are
+    hashed at a time."""
+    n, width = rows.shape
+    mult = np.multiply.accumulate(np.full(2 * width, _ROW_HASH, np.uint64))
+    low, high = mult[:width], mult[width:]
+    hashes = np.empty(n, np.uint64)
+    step = max(1, 2**14 // max(width, 1))
+    for r0 in range(0, n, step):
+        block = rows[r0:r0 + step]
+        hashes[r0:r0 + step] = ((block & np.uint64(2**32 - 1)) @ low
+                                + (block >> np.uint64(32)) @ high)
+    return hashes
+
+
 def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask after iterated removal of dominated vertices, for a
     symmetric loop-free adjacency in `pack_rows` form; removed vertices'
@@ -415,24 +445,38 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     smaller index, until a round removes nothing.
 
     Everything runs on the rows' uint64 words; no row is unpacked.  Twin
-    classes are cut to their smallest index up front; the other
-    non-adjacent pairs are listed once (`_nonadjacent_pairs`), each as
-    (s, t) with s the one t could cover: the smaller degree, or the larger
-    index of twins.  Each pair keeps one cached word index, where N(s) last
-    had a vertex N(t) lacked; `_subset_rows` re-checks it every round and
-    tests the whole rows only where it no longer witnesses, so a stale or
-    re-oriented word costs one full test and is never trusted.  Each round
-    first drops the pairs of removed vertices and re-orients the rest, in
-    place, 2^14 pairs at a time; degrees are popcounts of the words."""
-    n = rows.shape[0]
-    keep = np.zeros(n, dtype=bool)
-    # one void field per row: first occurrences of each distinct row
-    keep[np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(),
-                   return_index=True)[1]] = True
+    classes are cut to their smallest index up front: each row hashes to
+    one uint64 (`_row_hashes`), and a row is cut where it equals the
+    first row of its hash, compared a bounded block of rows at a time.  A
+    twin whose hash came first with a different row is left to the
+    rounds, which remove it by the same rule.  The other non-adjacent
+    pairs are listed once (`_nonadjacent_pairs`), each as (s, t) with s
+    the one t could cover: the smaller degree, or the larger index of
+    twins.  Each pair keeps one cached word index, where N(s) last had a
+    vertex N(t) lacked, at first (and again whenever a round flips the
+    pair) the word of t's own bit, t >> 6: walks are numbered in
+    lexicographic order, so that word's vertices share t's leading
+    coordinates and few are t's neighbors.  `_subset_rows` re-checks the
+    word every round and tests the whole rows only where it no longer
+    witnesses, so a stale word costs one full test and is never
+    trusted.  Each round first drops the pairs of removed vertices and
+    re-orients the rest, in place, 2^14 pairs at a time; degrees are
+    popcounts of the words."""
+    n, width = rows.shape
+    _, first, inverse = np.unique(_row_hashes(rows), return_index=True,
+                                  return_inverse=True)
+    head = first[inverse]  # the first row of each row's hash
+    keep = np.ones(n, dtype=bool)
+    same = np.flatnonzero(head != np.arange(n))
+    step = max(1, 2**14 // max(width, 1))
+    for i0 in range(0, len(same), step):
+        i = same[i0:i0 + step]
+        keep[i] = (rows[i] != rows[head[i]]).any(axis=1)
     rows &= pack_rows(keep[None])
     deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int32)
     s, t = _nonadjacent_pairs(rows, keep, deg)
-    wit = np.zeros(len(s), dtype=np.min_scalar_type(rows.shape[1] - 1))
+    wit = np.empty(len(s), dtype=np.min_scalar_type(width - 1))
+    np.right_shift(t, 6, out=wit, casting="unsafe")
     while len(s):
         at = 0
         for c0 in range(0, len(s), 2**14):
@@ -442,6 +486,7 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
             ds, dt = deg[cs], deg[ct]
             flip = (ds > dt) | ((ds == dt) & (cs < ct))
             cs[flip], ct[flip] = ct[flip], cs[flip]
+            cw[flip] = ct[flip] >> 6
             s[at:at + len(cs)], t[at:at + len(cs)] = cs, ct
             wit[at:at + len(cs)] = cw
             at += len(cs)
@@ -470,12 +515,20 @@ def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float,
                   ) -> SearchResult:
     """The search pipeline for packed rows: dominance reduction, the
     packed rows of the kept set compacted once, branch and bound on them.
-    `automorphisms` returns a group of the rows' graph, as for
-    `max_clique_bitset`; the search gets the elements that map the kept
-    set onto itself, which form a group of the graph it induces.  The
-    witness holds row indices; `elapsed` counts from t0."""
+    When the k kept rows' popcounts sum to k(k - 1), the kept set is a
+    clique, the only maximum clique, and it is returned before the
+    compaction with `nodes_explored` 1, the result the kernel gives after
+    its one node.  `automorphisms` returns a group of the rows' graph, as
+    for `max_clique_bitset`; the search gets the elements that map the
+    kept set onto itself, which form a group of the graph it induces.
+    The witness holds row indices; `elapsed` counts from t0."""
     keep = dominated_vertex_mask(rows)
     kept = np.flatnonzero(keep)
+    k = len(kept)
+    if k and np.bitwise_count(rows[kept]).sum() == k * (k - 1):
+        # a kept row holds at most the k - 1 other kept bits
+        return SearchResult(k, kept.tolist(), 1, time.perf_counter() - t0,
+                            lex_min)
     # the full rows are let go before the search
     rows = _induced_rows(rows, kept)
 
@@ -518,7 +571,8 @@ def distinguishability_matrix(arc: np.ndarray, walks: np.ndarray
     power of arc.T, built only for a directed arc matrix."""
     rows = power_adjacency(arc, walks, walks)
     if not np.array_equal(arc, arc.T):
-        rows &= power_adjacency(arc.T, walks, walks)
+        # a transposed view makes the power's column gathers strided
+        rows &= power_adjacency(np.ascontiguousarray(arc.T), walks, walks)
     return rows
 
 
@@ -576,6 +630,14 @@ def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool
     return res, walks
 
 
+def _spell(chars: np.ndarray) -> list[str]:
+    """The rows of a uint8 matrix of ASCII codes as strings, decoded at
+    once."""
+    width = chars.shape[1]
+    text = chars.tobytes().decode("ascii")
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
 def exact_M(G: ChannelGraph, n: int, *, lex_min: bool = True
             ) -> SearchResult:
     """M(G,n): the largest set of length-n words that are pairwise
@@ -587,9 +649,11 @@ def exact_M(G: ChannelGraph, n: int, *, lex_min: bool = True
     if n == 1:
         # no coordinate pair exists, so no two words are distinguishable
         return SearchResult(1, ["0"], 0, 0.0, lex_min)
-    res, _ = _omega(G.arc_matrix(), pair_shift_digraph(), n - 1, lex_min)
-    # walk number v spells the word of v in binary
-    res.witness = [format(v, f"0{n}b") for v in res.witness]
+    res, walks = _omega(G.arc_matrix(), pair_shift_digraph(), n - 1,
+                        lex_min)
+    # a walk spells its first letter's first bit, then each letter's second
+    bits = walks[res.witness]
+    res.witness = _spell(np.hstack([bits[:, :1] >> 1, bits & 1]) + ord("0"))
     return res
 
 
@@ -601,8 +665,9 @@ def omega_power_markov(G: ChannelGraph, P: Digraph, m: int, *,
         raise SpecError("omega_power_markov expects a digraph on the 4 "
                         "pair letters")
     res, walks = _omega(G.arc_matrix(), P, m, lex_min)
-    res.witness = ["".join(PAIR_LETTERS[v] for v in walks[i])
-                   for i in res.witness]
+    letters = np.frombuffer("".join(PAIR_LETTERS).encode(), np.uint8)
+    res.witness = _spell(letters.reshape(4, 2)[walks[res.witness]].reshape(
+        len(res.witness), 2 * m))
     return res
 
 

@@ -114,6 +114,26 @@ class TestPowerAdjacency:
             assert mat[i, j] == (forward(W[i], W[j])
                                  and forward(W[j], W[i]))
 
+    @given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+        st.just(k), digraphs(k).map(Digraph.without_loops),
+        st.integers(1, 3), st.integers(1, 70),
+        st.randoms(use_true_random=False))))
+    def test_transposed_view_and_copy_give_the_same_rows(self, args):
+        # distinguishability_matrix powers a C-contiguous copy of arc.T;
+        # the transposed view, and an arc given as such a view, spell the
+        # same rows
+        k, D, L, na, rng = args
+        W = np.array([[rng.randrange(k) for _ in range(L)]
+                      for _ in range(na)], dtype=np.intp)
+        arc = D.arc_matrix()
+        np.testing.assert_array_equal(
+            power_adjacency(arc.T, W, W),
+            power_adjacency(np.ascontiguousarray(arc.T), W, W))
+        view = np.ascontiguousarray(arc.T).T
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(distinguishability_matrix(view, W),
+                                      distinguishability_matrix(arc, W))
+
     @pytest.mark.parametrize("nb", [0, 1, 63, 64, 65, 255, 256, 257])
     def test_rows_are_padded_with_zeros(self, nb):
         # every arc is present, so a row is nb ones and then zeros up to a

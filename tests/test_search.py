@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -33,6 +37,7 @@ from zecap.search import (
     _induced_rows,
     _lex_min_witness,
     _nonadjacent_pairs,
+    _row_hashes,
     _rows_to_bitsets,
     _smallest_last,
     _subset_rows,
@@ -411,22 +416,99 @@ def test_induced_rows_matches_submatrix(size, density, seed, drop, shuffle):
 
 
 def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
-    # F under bit complement at n=12 keeps 1201 of 4096 words, a clique;
-    # each of its non-neighbor masks is a 1201-bit int, not a 4096-bit
-    # one, and an empty one
-    handed = []
-    pack = zecap.search._rows_to_bitsets
+    # F under bit complement at n=12 keeps 1201 of 4096 words, a clique,
+    # which is returned without compacting the rows or building bitsets.
+    # arc01/fibonacci at n=8 keeps 49 of its 55 walks, not a clique; each
+    # non-neighbor mask of both numberings is a 49-bit int, not a 55-bit one
+    induced, handed = [], []
+    induce, pack = zecap.search._induced_rows, zecap.search._rows_to_bitsets
 
-    def spy(rows):
+    def spy_induce(rows, verts):
+        induced.append(len(verts))
+        return induce(rows, verts)
+
+    def spy_pack(rows):
         handed.append(pack(rows))
         return handed[-1]
 
-    monkeypatch.setattr(zecap.search, "_rows_to_bitsets", spy)
+    monkeypatch.setattr(zecap.search, "_induced_rows", spy_induce)
+    monkeypatch.setattr(zecap.search, "_rows_to_bitsets", spy_pack)
     res = exact_M(parse_channel_spec("01-10;01-11;10-11"), 12)
-    assert res.size == 1201
-    assert [len(far) for far in handed] == [1201]
-    assert all(0 <= v < 2**1201 for v in handed[0])
-    assert handed[0] == [0] * 1201
+    assert (res.size, res.nodes_explored) == (1201, 1)
+    assert induced == handed == []
+    res = omega_s(SINGLE_ARC_DIGRAPH, FIBONACCI_DIGRAPH, 8)
+    assert res.size == 21
+    assert len(enumerate_walks(FIBONACCI_DIGRAPH, 8)) == 55
+    assert induced[0] == 49
+    assert [len(far) for far in handed] == [49, 49]
+    assert all(0 <= v < 2**49 for far in handed for v in far)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_twin_cut_survives_hash_collisions(monkeypatch, n):
+    # with every multiplier zero every row hashes alike: the cut removes
+    # only the copies of row 0, the rounds every other twin, and the keep
+    # mask and cleared rows come out the same
+    for G in ALL_CHANNELS:
+        rows = pack_rows(word_graph(G, n))
+        collided = rows.copy()
+        keep = dominated_vertex_mask(rows)
+        with monkeypatch.context() as m:
+            m.setattr(zecap.search, "_ROW_HASH", 0)
+            np.testing.assert_array_equal(dominated_vertex_mask(collided),
+                                          keep, err_msg=G.to_spec())
+        np.testing.assert_array_equal(collided, rows, err_msg=G.to_spec())
+
+
+def test_row_hashes_separate_every_channel_and_top_bit_differences():
+    # a collision costs only work, so this checks the hash's quality: the
+    # distinct rows of every channel at n=2..10 hash apart, as do rows
+    # {0, 1} and {64}, and rows differing by bit 63 of two words
+    for n in range(2, 11):
+        for G in ALL_CHANNELS:
+            rows = pack_rows(word_graph(G, n))
+            assert (len(np.unique(_row_hashes(rows)))
+                    == len(np.unique(rows, axis=0))), (G.to_spec(), n)
+    bits = np.zeros((4, 192), bool)  # row 2 is empty
+    bits[0, [0, 1]] = bits[1, 64] = bits[3, [63, 127]] = True
+    assert len(np.unique(_row_hashes(pack_rows(bits)))) == 4
+
+
+@pytest.mark.parametrize("lex_min", [True, False])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_m_returns_what_the_kernel_finds_on_the_kept_set(n, lex_min):
+    # a kept clique returns before the kernel; everything else goes
+    # through it, so the result is the kernel's on the kept rows either way
+    walks = enumerate_walks(pair_shift_digraph(), n - 1)
+    for G in ALL_CHANNELS:
+        rows = distinguishability_matrix(G.arc_matrix(), walks)
+        kept = np.flatnonzero(dominated_vertex_mask(rows))
+        want = max_clique_bitset(_induced_rows(rows, kept), lex_min)
+        res = exact_M(G, n, lex_min=lex_min)
+        assert ((res.size, res.nodes_explored, res.deterministic)
+                == (want.size, want.nodes_explored, want.deterministic))
+        assert res.witness == [format(v, f"0{n}b")
+                               for v in kept[want.witness]], G.to_spec()
+
+
+def test_empty_universe_explores_no_node():
+    # no vertex is kept, so there is no kept clique to return, and the
+    # kernel counts no node
+    no_arcs = Digraph(2, frozenset())
+    assert omega_s(SINGLE_ARC_DIGRAPH, no_arcs, 3).nodes_explored == 0
+    assert max_clique([], lambda a, b: True).nodes_explored == 0
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random takes about 12-15 ms to import, paid by every run
+    src = str(Path(zecap.search.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zecap.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def cyclic_group(size, seed):

@@ -22,6 +22,8 @@ def load_tracer(monkeypatch):
 
 
 def test_traced_wraps_and_restores_every_stage(monkeypatch):
+    # F's kept set is a clique, returned before the kernel; the pentagon's
+    # is not, and its search passes through every stage
     tracer = load_tracer(monkeypatch)
     before = vars(search).copy()
     with tracer.traced(tracer.Tracer()) as t:
@@ -29,9 +31,15 @@ def test_traced_wraps_and_restores_every_stage(monkeypatch):
         search.exact_M(TRIANGLE_F, 6)
     assert vars(search) == before
     names = {span.name for span in t.spans}
+    assert {"search.build_s", "search.reduce_s"} <= names
+    assert not names & {"search.pack_s", "search.bnb_s"}
+    assert t.counts["search.universe"] == 64
+    with tracer.traced(tracer.Tracer()) as t:
+        search.omega_s(cycle_sym_digraph(5), complete_digraph(5), 2)
+    assert vars(search) == before
+    names = {span.name for span in t.spans}
     assert {"search.build_s", "search.reduce_s", "search.pack_s",
             "search.bnb_s"} <= names
-    assert t.counts["search.universe"] == 64
 
 
 def test_traced_search_counts_nodes_and_every_decision(monkeypatch):
