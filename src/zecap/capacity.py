@@ -160,13 +160,3 @@ def empirical_rates(counts: Sequence[int]
     ratio = [math.log2(b) - math.log2(a)
              for a, b in zip(counts, counts[1:])]
     return naive, ratio
-
-
-# Equations of the four named channels, in the family vocabulary of
-# `construct`: ministring lengths determine the equation.
-NAMED_EQUATIONS = {
-    "ministring-tribonacci": CharacteristicEquation((1, 2, 3)),
-    "oddrun": CharacteristicEquation((1,), tail=(2, 2)),
-    "no-isolated-ones": CharacteristicEquation((1,), tail=(3, 1)),
-    "fibonacci": CharacteristicEquation((1, 2)),
-}

@@ -30,18 +30,19 @@ from .model import (
     check_words,
     parse_channel_spec,
     parse_digraph_spec,
+    spell,
 )
 from .search import exact_M, omega_s
 from .capacity import (
     DEFAULT_TOL,
     CharacteristicEquation,
     ConvergenceError,
-    NAMED_EQUATIONS,
     solve_characteristic,
 )
 from .construct import (
     FAMILIES,
     FAMILY_COUNTS,
+    NAMED_EQUATIONS,
     TRIBONACCI_SET,
     largest_block_class,
     ministring_code,
@@ -148,7 +149,7 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
         write_word_file(args.out, code)
         outputs["path"] = args.out
     else:
-        outputs["words"] = code.sorted_words()
+        outputs["words"] = spell(code.sorted_lines()[:, :-1])
     return ({"family": args.family, "n": args.n, "out": args.out}, outputs,
             EXIT_OK)
 
@@ -198,6 +199,8 @@ _REPORT_ROWS = {
 
 
 def report_rows(n_max: int) -> list[dict]:
+    if n_max < 2:
+        raise SpecError(f"--n-max must be >= 2, not {n_max}")
     if n_max >= MAX_VERTICES.bit_length():
         raise ResourceCapExceeded(f"word list of 2^{n_max} vertices "
                                   f"exceeds cap {MAX_VERTICES}")

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .capacity import CharacteristicEquation
 from .model import (
     ChannelGraph,
     Code,
@@ -29,6 +30,7 @@ from .model import (
     check_word,
     pair_codes,
     power_adjacency,
+    spell,
     unpack_rows,
 )
 
@@ -152,7 +154,7 @@ def ministring_code(S: MinistringSet, n: int,
     would hold more than MAX_CODE_WORDS words.  Each length-m layer is an
     (a_m, m) uint8 matrix of ASCII bytes, built by the recurrence as one
     block per first member.  The words' matrix becomes the word set by one
-    decode and split of its buffer, so no word is built by a Python loop."""
+    `spell`, so no word is built by a Python loop."""
     if n < 1:
         raise SpecError("n must be >= 1")
     count = ministring_count(S, n, leading_zero)
@@ -173,9 +175,7 @@ def ministring_code(S: MinistringSet, n: int,
     else:
         rows = _concatenations([s[1:] for s in members if s[0] == "0"],
                                layers, n)
-    lines = np.full((len(rows), n + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :n] = rows
-    return Code(n, set(lines.tobytes().decode("ascii").split()))
+    return Code(n, set(spell(rows)))
 
 
 def ministring_count(S: MinistringSet, n: int,
@@ -247,29 +247,20 @@ def shorten_even_runs(x: str) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class PairFunction:
-    """A map from the four two-bit pairs to a single bit."""
-
-    table: tuple[int, int, int, int]  # indexed by 2*a + b for pair (a, b)
-
-    def __call__(self, a: str, b: str) -> str:
-        return str(self.table[2 * int(a) + int(b)])
-
-
+# Maps from the four pair letters to a bit, as 4-character tables indexed
+# by the letter's index 2a + b.
 # g of the star-at-00 theorem: 0 only on pair (0,0)
-G_STAR_00 = PairFunction((0, 1, 1, 1))
+G_STAR_00 = "0111"
 # g of the star-at-01 theorem: 1 only on pair (0,1)
-G_STAR_01 = PairFunction((0, 1, 0, 0))
+G_STAR_01 = "0100"
 
 
-def sliding_g_map(x: str, g: PairFunction) -> str:
-    """First bit kept; every later bit i becomes g(x_{i-1}, x_i)."""
+def sliding_g_map(x: str, g: str) -> str:
+    """First bit kept; every later bit i becomes g of the pair letter
+    x_{i-1} x_i, looked up in the table g."""
     check_word(x)
-    out = [x[0]]
-    for i in range(1, len(x)):
-        out.append(g(x[i - 1], x[i]))
-    return "".join(out)
+    return x[0] + "".join(g[int(x[i - 1:i + 1], 2)]
+                          for i in range(1, len(x)))
 
 
 @dataclass
@@ -301,10 +292,6 @@ def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
     arc = G.arc_matrix()
     rows = max(1, VERIFY_BLOCK_PAIRS // max(k, 1))
     failures: list[tuple[str, str]] = []
-
-    def word(i: int) -> str:
-        return lines[i, :-1].tobytes().decode("ascii")
-
     for i0 in range(0, k, rows):
         room = VerificationReport.MAX_FAILURES - len(failures)
         if not room:
@@ -315,8 +302,8 @@ def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
         bad = ~packed & _upper_mask(len(packed), width)
         hit = np.flatnonzero(bad.any(axis=1))[:room]
         bad_r, bad_c = np.nonzero(unpack_rows(bad[hit], width))
-        failures += [(word(i0 + hit[r]), word(i0 + 1 + c))
-                     for r, c in zip(bad_r[:room], bad_c[:room])]
+        failures += zip(spell(lines[i0 + hit[bad_r[:room]], :-1]),
+                        spell(lines[i0 + 1 + bad_c[:room], :-1]))
     return VerificationReport(not failures, k * (k - 1) // 2, failures)
 
 
@@ -348,3 +335,8 @@ FAMILIES = {name: functools.partial(ministring_code, S, leading_zero=lz)
 
 FAMILY_COUNTS = {name: functools.partial(ministring_count, S, leading_zero=lz)
                  for name, (S, lz) in _FAMILY_SETS.items()}
+
+# each family's characteristic equation: its ministrings' lengths
+NAMED_EQUATIONS = {name: CharacteristicEquation(
+    tuple(len(s) for s in S.strings), S.tail)
+    for name, (S, _) in _FAMILY_SETS.items()}

@@ -3,14 +3,18 @@ digraphs and their walk sets, and the distinguishability predicate.
 
 Words are plain strings of '0'/'1' characters.  Pair letters are the four
 two-character strings "00", "01", "10", "11", totally ordered lexicographically;
-every serialized artifact uses that order.  Documentation follows the 1-based
-index convention; serialized positions are 0-based.
+every serialized artifact uses that order, and letter ab has index 2a + b.
+This module alone converts between words, pair letters and uint8 matrices
+of ASCII digits: `pair_codes` takes words to their pair letters,
+`walk_words` and `walk_letters` take walks of pair letters back to
+digits, and `spell` decodes a digit matrix to strings.  Documentation
+follows the 1-based index convention; serialized positions are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -159,9 +163,6 @@ class Code:
         keys = np.packbits(lines & 1, axis=1)
         return lines[np.lexsort(keys.T[::-1])]
 
-    def sorted_words(self) -> list[str]:
-        return sorted(self.words)
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -196,15 +197,6 @@ def parse_digraph_spec(text: str, k: int, name: str = "") -> Digraph:
     return Digraph(k, frozenset(arcs), name=name)
 
 
-def word_pairs(x: str) -> tuple[str, ...]:
-    """The sequence of consecutive bit-pairs of x; injective on words of
-    equal length, since consecutive pairs overlap in one bit."""
-    check_word(x)
-    if len(x) < 2:
-        raise SpecError(f"word_pairs needs length >= 2, got {len(x)}")
-    return tuple(x[i:i + 2] for i in range(len(x) - 1))
-
-
 def distinguishable(x: str, y: str, G: ChannelGraph) -> bool:
     """True iff some coordinate pair of x and y falls on an edge of G."""
     if len(x) != len(y):
@@ -224,6 +216,31 @@ def pair_codes(rows: np.ndarray) -> np.ndarray:
     pair-letter index of row w's digits i and i+1."""
     bits = rows - np.uint8(ord("0"))
     return 2 * bits[:, :-1] + bits[:, 1:]
+
+
+def walk_words(walks: np.ndarray) -> np.ndarray:
+    """Inverse of `pair_codes`: the (k, m+1) uint8 matrix of ASCII digits of
+    the words that k pair-shift walks of m letters spell.  A walk spells its
+    first letter's first bit, then each letter's second bit."""
+    bits = np.hstack([walks[:, :1] >> 1, walks & 1])
+    return bits.astype(np.uint8, copy=False) + np.uint8(ord("0"))
+
+
+def walk_letters(walks: np.ndarray) -> np.ndarray:
+    """The (k, 2m) uint8 matrix of ASCII digits of k walks of m pair letters,
+    each letter written out as the word ab that it spells alone."""
+    return walk_words(walks.reshape(-1, 1)).reshape(len(walks),
+                                                    2 * walks.shape[1])
+
+
+def spell(chars: np.ndarray) -> list[str]:
+    """The rows of a uint8 matrix of ASCII codes as strings: a newline
+    column is appended, and the bytes are decoded once and split at the
+    newlines.  No row may hold a newline byte."""
+    k, width = chars.shape
+    lines = np.full((k, width + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :width] = chars
+    return lines.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -361,18 +378,6 @@ def cycle_sym_digraph(k: int) -> Digraph:
         arcs.add((v, (v + 1) % k))
         arcs.add(((v + 1) % k, v))
     return Digraph(k, frozenset(arcs), name=f"C{k}sym")
-
-
-def walk_to_word(walk: Sequence[int]) -> str:
-    """Inverse of the pair-shift embedding: a walk on pair letters whose
-    consecutive letters overlap maps back to the binary word one bit longer."""
-    letters = [PAIR_LETTERS[v] for v in walk]
-    out = letters[0]
-    for prev, cur in zip(letters, letters[1:]):
-        if prev[1] != cur[0]:
-            raise SpecError("walk letters do not overlap; not a pair-shift walk")
-        out += cur[1]
-    return out
 
 
 NAMED_DIGRAPHS = {

@@ -10,8 +10,14 @@ One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
 size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
-never as an N x N boolean array; their bits are reached here only through
-`model.pack_rows` and `model.unpack_rows`.  The pipeline removes dominated
+never as an N x N boolean array.  Rows are packed and unpacked only by
+`model.pack_rows` and `model.unpack_rows`, but the code here also relies
+on their layout, 64-bit little-endian words with bit j at bit j & 63 of
+word j >> 6: `_nonadjacent_pairs` clears and lists bits by it, a pair's
+first witness word is t >> 6, the column clear takes the words gone >> 6,
+and `_rows_to_bitsets` reads each row as one little-endian int.  Words,
+pair letters and digit matrices are converted only by `model`
+(`walk_words`, `walk_letters`, `spell`).  The pipeline removes dominated
 vertices on the rows' uint64 words: it cuts twins by a hash of each row,
 checked by an exact comparison; lists the non-adjacent pairs from the
 nonzero words of ~row & keep; tests each pair's subset relation first at
@@ -71,14 +77,16 @@ import numpy as np
 from .model import (
     ChannelGraph,
     Digraph,
-    PAIR_LETTERS,
     SpecError,
     check_vertex_cap,
     enumerate_walks,
     pack_rows,
     pair_shift_digraph,
     power_adjacency,
+    spell,
     unpack_rows,
+    walk_letters,
+    walk_words,
 )
 
 # the odd constant whose powers weigh the twin cut's row hash (`_row_hashes`):
@@ -350,8 +358,7 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
-    if lex_min and kern.best < n:
-        # a clique of all n vertices is the only maximum clique
+    if lex_min:
         witness = _lex_min_witness(far, P, kern.best, nodes, rank.tolist(),
                                    sum(1 << v for v in witness))
     return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
@@ -630,14 +637,6 @@ def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool
     return res, walks
 
 
-def _spell(chars: np.ndarray) -> list[str]:
-    """The rows of a uint8 matrix of ASCII codes as strings, decoded at
-    once."""
-    width = chars.shape[1]
-    text = chars.tobytes().decode("ascii")
-    return [text[i:i + width] for i in range(0, len(text), width)]
-
-
 def exact_M(G: ChannelGraph, n: int, *, lex_min: bool = True
             ) -> SearchResult:
     """M(G,n): the largest set of length-n words that are pairwise
@@ -651,9 +650,7 @@ def exact_M(G: ChannelGraph, n: int, *, lex_min: bool = True
         return SearchResult(1, ["0"], 0, 0.0, lex_min)
     res, walks = _omega(G.arc_matrix(), pair_shift_digraph(), n - 1,
                         lex_min)
-    # a walk spells its first letter's first bit, then each letter's second
-    bits = walks[res.witness]
-    res.witness = _spell(np.hstack([bits[:, :1] >> 1, bits & 1]) + ord("0"))
+    res.witness = spell(walk_words(walks[res.witness]))
     return res
 
 
@@ -665,9 +662,7 @@ def omega_power_markov(G: ChannelGraph, P: Digraph, m: int, *,
         raise SpecError("omega_power_markov expects a digraph on the 4 "
                         "pair letters")
     res, walks = _omega(G.arc_matrix(), P, m, lex_min)
-    letters = np.frombuffer("".join(PAIR_LETTERS).encode(), np.uint8)
-    res.witness = _spell(letters.reshape(4, 2)[walks[res.witness]].reshape(
-        len(res.witness), 2 * m))
+    res.witness = spell(walk_letters(walks[res.witness]))
     return res
 
 

@@ -35,7 +35,6 @@ from zecap.model import (
 from zecap.search import exact_M, omega_power_markov, omega_s
 from zecap.capacity import (
     CharacteristicEquation,
-    NAMED_EQUATIONS,
     empirical_rates,
     solve_characteristic,
 )
@@ -44,6 +43,7 @@ from zecap.construct import (
     FAMILY_COUNTS,
     G_STAR_00,
     G_STAR_01,
+    NAMED_EQUATIONS,
     ODD_RUN_SET,
     TRIBONACCI_SET,
     largest_block_class,

@@ -15,7 +15,6 @@ from zecap.model import (
 from zecap.capacity import (
     CapacityValue,
     CharacteristicEquation,
-    NAMED_EQUATIONS,
     NoRootError,
     beta_sequence,
     empirical_rates,
@@ -24,6 +23,7 @@ from zecap.capacity import (
 )
 from zecap.construct import (
     FAMILY_COUNTS,
+    NAMED_EQUATIONS,
     _FAMILY_SETS,
 )
 

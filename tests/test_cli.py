@@ -201,6 +201,17 @@ class TestWordFiles:
         zecap.cli.write_word_file(str(out), Code(4, set()))
         assert out.read_bytes() == b""
 
+    @pytest.mark.parametrize("family", sorted(CONSTRUCT_18_SHA256))
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_listing_is_the_word_file(self, family, n, tmp_path, capsys):
+        # without --out the record lists exactly the lines --out writes
+        out = tmp_path / "code.txt"
+        argv = ["construct", "--family", family, "--n", str(n)]
+        assert zecap.cli.main(argv) == 0
+        listed = json.loads(capsys.readouterr().out)["outputs"]["words"]
+        assert zecap.cli.main(argv + ["--out", str(out)]) == 0
+        assert listed == out.read_text().splitlines()
+
     @pytest.mark.parametrize("text, error", [
         ("0a1\n01b\n011\n", "not a binary word: '0a1'"),
         ("011\n0111\n01\n", "word '0111' has length 4, expected 3"),
@@ -365,6 +376,14 @@ class TestReportCommand:
         assert zecap.cli.main(["report", "--n-max", str(n_max)]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "exceeds cap" in err
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-5"])
+    def test_n_max_below_2_exit_2(self, n_max, capsys):
+        # no row has n below 2, so an n_max below it is an input fault
+        assert zecap.cli.main(["report", "--n-max", n_max]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sandwich_in_rows(self, tmp_path):
         out = tmp_path / "report.csv"

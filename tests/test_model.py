@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,11 +20,13 @@ from zecap.model import (
     count_walks,
     distinguishable,
     enumerate_walks,
+    pair_codes,
     pair_shift_digraph,
     parse_channel_spec,
     parse_digraph_spec,
-    walk_to_word,
-    word_pairs,
+    spell,
+    walk_letters,
+    walk_words,
 )
 
 words_st = st.integers(min_value=2, max_value=10).flatmap(
@@ -182,29 +185,42 @@ class TestDistinguishable:
                 assert distinguishable(x, y, TRIANGLE_F)
 
 
-class TestWordPairs:
+def digit_rows(words, n):
+    """The words' ASCII bytes as a (len, n) uint8 matrix."""
+    return np.frombuffer("".join(words).encode(), np.uint8).reshape(-1, n)
+
+
+class TestPairCodes:
     @pytest.mark.parametrize("word,expected", [
         ("0110", ("01", "11", "10")),
         ("000", ("00", "00")),
         ("01", ("01",)),
     ])
     def test_examples(self, word, expected):
-        assert word_pairs(word) == expected
-
-    def test_too_short(self):
-        with pytest.raises(SpecError):
-            word_pairs("0")
+        codes = pair_codes(digit_rows([word], len(word)))
+        assert codes.tolist() == [[PAIR_LETTERS.index(p) for p in expected]]
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_injective(self, n):
-        # spot-check adjacent word values; exhaustive for n <= 8
-        words = list(all_words(n)) if n <= 8 else \
-            [format(v, f"0{n}b") for v in range(0, 2**n, max(1, 2**n // 512))]
-        seen = {}
-        for w in words:
-            p = word_pairs(w)
-            assert p not in seen
-            seen[p] = w
+    def test_walk_words_inverts_pair_codes(self, n):
+        # so pair_codes is injective on the words of each length
+        rows = digit_rows(all_words(n), n)
+        walks = pair_codes(rows)
+        assert np.array_equal(walk_words(walks), rows)
+        assert spell(walk_words(walks)) == list(all_words(n))
+
+
+class TestSpell:
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_no_rows(self, width):
+        assert spell(np.empty((0, width), np.uint8)) == []
+
+    def test_empty_rows_stay(self):
+        assert spell(np.empty((2, 0), np.uint8)) == ["", ""]
+
+    def test_walk_letters_writes_each_letter(self):
+        walks = np.array([[0, 1, 3], [2, 2, 0]], np.uint8)
+        assert spell(walk_letters(walks)) == ["000111", "101000"]
+        assert spell(walk_letters(walks[:0])) == []
 
 
 class TestEnumerateWalks:
@@ -241,7 +257,7 @@ class TestEnumerateWalks:
         # walks of length n correspond to binary words of length n+1
         walks = enumerate_walks(pair_shift_digraph(), n)
         assert len(walks) == 2 ** (n + 1)
-        assert len({walk_to_word(w) for w in walks}) == len(walks)
+        assert len(set(spell(walk_words(walks)))) == len(walks)
 
     @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
         st.just(k), st.sets(st.tuples(st.integers(0, k - 1),

@@ -59,7 +59,7 @@ def codes(draw):
 
 def reference_report(code: Code, G) -> VerificationReport:
     """verify_code's contract as a plain loop over the scalar predicate."""
-    words = code.sorted_words()
+    words = sorted(code.words)
     failures = []
     checked = 0
     for i, x in enumerate(words):

@@ -28,3 +28,30 @@ def test_library_example_prints_its_comments():
                 assert got == comment.group(1), line
                 checked += 1
     assert checked
+
+
+def test_every_name_in_backticks_resolves():
+    # a name README writes as `name(...)`, `_name` or `CapWords` must be
+    # an attribute of a zecap module or of one of the model's classes, so
+    # a deleted function cannot stay documented
+    import zecap.capacity
+    import zecap.cli
+    import zecap.construct
+    import zecap.model
+    import zecap.search
+
+    owners = [zecap.capacity, zecap.cli, zecap.construct, zecap.model,
+              zecap.search, zecap.model.ChannelGraph, zecap.model.Digraph,
+              zecap.model.Code]
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        found = (re.match(r"([A-Za-z_]\w*)\(", span)
+                 or re.fullmatch(r"(_\w+)", span)
+                 or re.fullmatch(r"([A-Z][a-z]+(?:[A-Z][a-z0-9]*)*)", span))
+        if found:
+            names.add(found.group(1))
+    assert len(names) >= 17
+    missing = sorted(name for name in names
+                     if not any(hasattr(o, name) for o in owners))
+    assert missing == []

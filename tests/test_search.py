@@ -25,6 +25,7 @@ from zecap.model import (
     cycle_sym_digraph,
     distinguishable,
     enumerate_walks,
+    pair_codes,
     pair_shift_digraph,
     parse_channel_spec,
     parse_digraph_spec,
@@ -387,14 +388,22 @@ def test_edgeless_bitset_seeds_a_vertex(lex_min):
     assert (res.size, res.witness) == (1, [0])
 
 
-def test_clique_witness_skips_no_nodes():
-    # on a clique of every vertex the lex-min search is skipped; witness
-    # and node count are those of the search without it
-    rows = pack_rows(~np.eye(6, dtype=bool))
+@pytest.mark.parametrize("n", [*range(1, 70), 200, 1000])
+def test_complete_graph_witness_needs_no_decision(monkeypatch, n):
+    # every vertex lies in the clique branch and bound finds, so the
+    # lex-min pass keeps each one without a decision; witness and node
+    # count are those of the search without it
+    calls = []
+    decide = zecap.search._has_clique_of_size
+    monkeypatch.setattr(zecap.search, "_has_clique_of_size",
+                        lambda *a: calls.append(a) or decide(*a))
+    rows = pack_rows(~np.eye(n, dtype=bool))
     plain = max_clique_bitset(rows, lex_min=False)
     res = max_clique_bitset(rows)
-    assert res.witness == list(range(6)) == plain.witness
-    assert res.nodes_explored == plain.nodes_explored
+    assert res.size == plain.size == n
+    assert res.witness == list(range(n)) == plain.witness
+    assert res.nodes_explored == plain.nodes_explored == 1
+    assert calls == []
 
 
 # the example unpacks its 2100-vertex rows 499 at a time
@@ -489,6 +498,25 @@ def test_exact_m_returns_what_the_kernel_finds_on_the_kept_set(n, lex_min):
                 == (want.size, want.nodes_explored, want.deterministic))
         assert res.witness == [format(v, f"0{n}b")
                                for v in kept[want.witness]], G.to_spec()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exact_m_witness_spells_its_walks(monkeypatch, n):
+    # the pair letters of each witness word are the walk it was chosen as
+    picked = []
+    omega = zecap.search._omega
+
+    def spy(*args):
+        res, walks = omega(*args)
+        picked.append(walks[res.witness])
+        return res, walks
+
+    monkeypatch.setattr(zecap.search, "_omega", spy)
+    for G in ALL_CHANNELS:
+        res = exact_M(G, n)
+        chars = np.frombuffer("".join(res.witness).encode(), np.uint8)
+        np.testing.assert_array_equal(pair_codes(chars.reshape(-1, n)),
+                                      picked.pop(), err_msg=G.to_spec())
 
 
 def test_empty_universe_explores_no_node():
