@@ -14,10 +14,11 @@ Family counts use exact Python integers; recurrences stay exact at any n.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -28,10 +29,11 @@ from .model import (
     ResourceCapExceeded,
     SpecError,
     check_word,
+    pack_rows,
     pair_codes,
     power_adjacency,
     spell,
-    unpack_rows,
+    upper_bits,
 )
 
 # verify_code holds at most about this many pair outcomes at once
@@ -150,17 +152,25 @@ def ministring_code(S: MinistringSet, n: int,
     """All length-n concatenations of members of S; with leading_zero=False,
     the words w for which "0" + w is a length-(n+1) concatenation.
 
-    Raises ResourceCapExceeded, before building anything, when the code
-    would hold more than MAX_CODE_WORDS words.  Each length-m layer is an
-    (a_m, m) uint8 matrix of ASCII bytes, built by the recurrence as one
-    block per first member.  The words' matrix becomes the word set by one
-    `spell`, so no word is built by a Python loop."""
+    Each length-m layer, m = 1..n, is an (a_m, m) uint8 matrix of ASCII
+    bytes, built by the recurrence as one block per first member.  The
+    layers and the code are counted first (`_layer_counts`), and the first
+    of them over MAX_CODE_WORDS words raises ResourceCapExceeded before
+    anything is built, so the counts stay small at any n.  The words'
+    matrix becomes the word set by one `spell`, so no word is built by a
+    Python loop."""
     if n < 1:
         raise SpecError("n must be >= 1")
-    count = ministring_count(S, n, leading_zero)
-    if count > MAX_CODE_WORDS:
-        raise ResourceCapExceeded(f"code of about 2^{math.log2(count):.1f} "
-                                  f"words exceeds cap {MAX_CODE_WORDS}")
+    top = n if leading_zero else n + 1
+    for m, (a, z) in zip(range(top + 1), _layer_counts(S)):
+        # without the leading zero the code is the z_{n+1} words that
+        # follow the 0 of a length-(n+1) concatenation
+        count = a if m <= n else z
+        if count > MAX_CODE_WORDS:
+            what = "code" if m == top else f"length-{m} layer"
+            raise ResourceCapExceeded(
+                f"{what} of about 2^{math.log2(count):.1f} words exceeds "
+                f"cap {MAX_CODE_WORDS}")
     if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
     members = S.members_up_to(n + 1)
@@ -178,33 +188,43 @@ def ministring_code(S: MinistringSet, n: int,
     return Code(n, set(spell(rows)))
 
 
-def ministring_count(S: MinistringSet, n: int,
-                     leading_zero: bool = True) -> int:
-    """|ministring_code(S, n, leading_zero)| by the exact length recurrence
-    a_m = sum over ministring lengths l of a_{m-l}, a_0 = 1; without the
-    leading zero it is the sum of a_{n+1-l} over the members of length l
-    that start with 0.  The tail's part of a_m is T_m = sum over tail
-    lengths L of a_{m-L} = a_{m-start} + T_{m-step}, and only a window of
-    a and T is kept, so no member string and no old count is stored."""
-    if n < 0:
-        raise SpecError("n must be >= 0")
-    top = n if leading_zero else n + 1
-    start, step = S.tail or (top + 1, 1)    # no tail: T_m = 0 up to top
+def _layer_counts(S: MinistringSet) -> Iterator[tuple[int, int]]:
+    """(a_m, z_m) for m = 0, 1, 2, ...: the number of length-m
+    concatenations of members of S, and of those that start with 0, by the
+    exact length recurrence a_m = sum over ministring lengths l of
+    a_{m-l}, a_0 = 1, where z_m sums over the members that start with 0
+    only.  The tail's part, T_m = sum over tail lengths L of a_{m-L} =
+    a_{m-start} + T_{m-step}, is in both, since every tail member starts
+    with 0.  Only a window of a and T is kept, so no member string and no
+    old count is stored."""
+    start, step = S.tail or (0, 1)    # a tail starts at length >= 1
     # a finite member that is also a tail member counts once
     finite = {s for s in S.strings
               if not (S.tail and s == "0" + "1" * (len(s) - 1)
                       and len(s) >= start and (len(s) - start) % step == 0)}
-    width = max([len(s) for s in finite] + [start if S.tail else 0]) + 1
-    a, T = {0: 1}, {0: 0}
-    for m in range(1, top + 1):
-        T[m] = a[m - start] + T.get(m - step, 0) if m >= start else 0
-        a[m] = sum(a[m - len(s)] for s in finite if len(s) <= m) + T[m]
+    zero = [len(s) for s in finite if s[0] == "0"]
+    one = [len(s) for s in finite if s[0] == "1"]
+    width = max(zero + one + [start]) + 1
+    a, T = {0: 1}, {}
+    yield 1, 0
+    for m in itertools.count(1):
+        T[m] = a[m - start] + T.get(m - step, 0) if 0 < start <= m else 0
+        z = T[m] + sum(a[m - l] for l in zero if l <= m)
+        a[m] = z + sum(a[m - l] for l in one if l <= m)
         a.pop(m - width, None)
         T.pop(m - step, None)
-    if leading_zero:
-        return a[n]
-    return T[n + 1] + sum(a[n + 1 - len(s)] for s in finite
-                          if s[0] == "0" and len(s) <= n + 1)
+        yield a[m], z
+
+
+def ministring_count(S: MinistringSet, n: int,
+                     leading_zero: bool = True) -> int:
+    """|ministring_code(S, n, leading_zero)|, exact at any n: a_n of
+    `_layer_counts`, or without the leading zero z_{n+1}."""
+    if n < 0:
+        raise SpecError("n must be >= 0")
+    top = n if leading_zero else n + 1
+    a, z = next(itertools.islice(_layer_counts(S), top, None))
+    return a if leading_zero else z
 
 
 def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:
@@ -281,11 +301,10 @@ class VerificationReport:
 
 def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
     """Check every unordered pair of the code for distinguishability;
-    failing pairs are reported sorted, capped at 100.  The words come from
-    `Code.sorted_lines`, and rows of G's power over them are taken a
-    bounded block at a time.  Each block's upper triangle is tested on its
-    packed words; only the rows that hold reported failures are unpacked,
-    and no block is built once 100 failures are found."""
+    failing pairs are reported sorted, capped at 100.  Block by block of
+    rows i0.. of `Code.sorted_lines`, G's power is built against the words
+    i0.., and `upper_bits` lists the failures right of the diagonal c = r,
+    unpacking only the words of those reported; none after 100."""
     lines = code.sorted_lines()
     k = len(lines)
     codes = pair_codes(lines[:, :-1])
@@ -296,28 +315,11 @@ def verify_code(code: Code, G: ChannelGraph) -> VerificationReport:
         room = VerificationReport.MAX_FAILURES - len(failures)
         if not room:
             break
-        # block entry [r, c] is the pair (i0 + r, i0 + 1 + c); keep c >= r
-        width = k - i0 - 1
-        packed = power_adjacency(arc, codes[i0:i0 + rows], codes[i0 + 1:])
-        bad = ~packed & _upper_mask(len(packed), width)
-        hit = np.flatnonzero(bad.any(axis=1))[:room]
-        bad_r, bad_c = np.nonzero(unpack_rows(bad[hit], width))
-        failures += zip(spell(lines[i0 + hit[bad_r[:room]], :-1]),
-                        spell(lines[i0 + 1 + bad_c[:room], :-1]))
+        bad = ~power_adjacency(arc, codes[i0:i0 + rows], codes[i0:])
+        bad &= pack_rows(np.ones((1, k - i0), bool))
+        r, c = upper_bits(bad, np.arange(len(bad)), room)
+        failures += zip(spell(lines[i0 + r, :-1]), spell(lines[i0 + c, :-1]))
     return VerificationReport(not failures, k * (k - 1) // 2, failures)
-
-
-# _LOW_BITS[b] has the low b bits of a 64-bit word set, b = 0..64
-_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype="<u8")
-
-
-def _upper_mask(rows: int, width: int) -> np.ndarray:
-    """`pack_rows` form of the rows x width matrix that is set at [r, c]
-    iff c >= r."""
-    first = 64 * np.arange(-(-width // 64))    # first column of each word
-    lo = np.clip(np.arange(rows)[:, None] - first, 0, 64)
-    hi = np.clip(width - first, 0, 64)
-    return _LOW_BITS[hi] & ~_LOW_BITS[lo]
 
 
 # family -> (ministring set, leading_zero); after a 0, the tribonacci set

@@ -7,8 +7,9 @@ every serialized artifact uses that order, and letter ab has index 2a + b.
 This module alone converts between words, pair letters and uint8 matrices
 of ASCII digits: `pair_codes` takes words to their pair letters,
 `walk_words` and `walk_letters` take walks of pair letters back to
-digits, and `spell` decodes a digit matrix to strings.  Documentation
-follows the 1-based index convention; serialized positions are 0-based.
+digits, `walk_labels` spells walks of numbered vertices, and `spell`
+decodes a digit matrix to strings.  Documentation follows the 1-based
+index convention; serialized positions are 0-based.
 """
 
 from __future__ import annotations
@@ -233,6 +234,17 @@ def walk_letters(walks: np.ndarray) -> np.ndarray:
                                                     2 * walks.shape[1])
 
 
+def walk_labels(walks: np.ndarray, k: int) -> np.ndarray:
+    """The (len, m * d) uint8 matrix of ASCII digits of walks of m vertices
+    of 0..k-1, each vertex in d decimal digits, zero-padded, where d is the
+    number of digits of k - 1: so distinct walks spell apart, and one
+    digit per vertex for k <= 10."""
+    d = len(str(k - 1))
+    digits = walks[:, :, None] // 10 ** np.arange(d - 1, -1, -1) % 10
+    return (digits + ord("0")).astype(np.uint8).reshape(len(walks),
+                                                        d * walks.shape[1])
+
+
 def spell(chars: np.ndarray) -> list[str]:
     """The rows of a uint8 matrix of ASCII codes as strings: a newline
     column is appended, and the bytes are decoded once and split at the
@@ -257,6 +269,27 @@ def unpack_rows(rows: np.ndarray, count: int) -> np.ndarray:
     """The first `count` bits of each `pack_rows` row, as a boolean matrix."""
     return np.unpackbits(rows.view(np.uint8), axis=1, count=count,
                          bitorder="little").view(bool)
+
+
+def upper_bits(rows: np.ndarray, diag: np.ndarray, limit: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Clears, in place, each `pack_rows` row's bits at or left of column
+    diag[r], and returns (r, c) of the bits left in row-major order, the
+    first `limit` of them when given, unpacking only the words listed."""
+    word = diag >> 6
+    rows[np.arange(rows.shape[1]) < word[:, None]] = 0
+    low = (np.uint64(2) << (diag & 63).astype(np.uint64)) - np.uint64(1)
+    rows[np.arange(len(rows)), word] &= ~low
+    r, c = np.nonzero(rows)
+    # each word holds a bit, so the first `limit` bits lie in `limit` words
+    f = np.flatnonzero(unpack_rows(rows[r[:limit], c[:limit], None], 64))
+    f = f[:limit]
+    at = f >> 6    # the listed word of each bit
+    # the columns are formed in place, with few temporaries
+    f &= 63
+    c = c[at] << 6
+    c |= f
+    return r[at], c
 
 
 def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray

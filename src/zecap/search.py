@@ -10,17 +10,18 @@ One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
 size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
-never as an N x N boolean array.  Rows are packed and unpacked only by
-`model.pack_rows` and `model.unpack_rows`, but the code here also relies
-on their layout, 64-bit little-endian words with bit j at bit j & 63 of
-word j >> 6: `_nonadjacent_pairs` clears and lists bits by it, a pair's
-first witness word is t >> 6, the column clear takes the words gone >> 6,
-and `_rows_to_bitsets` reads each row as one little-endian int.  Words,
-pair letters and digit matrices are converted only by `model`
-(`walk_words`, `walk_letters`, `spell`).  The pipeline removes dominated
-vertices on the rows' uint64 words: it cuts twins by a hash of each row,
-checked by an exact comparison; lists the non-adjacent pairs from the
-nonzero words of ~row & keep; tests each pair's subset relation first at
+never as an N x N boolean array.  Rows are packed, unpacked and listed
+only by `model`: `pack_rows`, `unpack_rows`, and `upper_bits`, which
+lists the bits right of a diagonal.  The code here relies on their
+layout, 64-bit little-endian words with bit j in word j >> 6, in three
+places: a pair's first witness word is t >> 6, the column clear takes
+the words gone >> 6, and `_rows_to_bitsets` reads each row as one
+little-endian int.  Words, pair letters, walks and digit matrices are
+converted only by `model` (`walk_words`, `walk_letters`, `walk_labels`,
+`spell`).  The pipeline removes dominated vertices on the rows' uint64
+words: it cuts twins by a hash of each row, checked by an exact
+comparison; lists the non-adjacent pairs from the nonzero words of
+~row & keep; tests each pair's subset relation first at
 one cached witness word, at first the word of t's own bit, and over the
 whole rows only where that word no longer witnesses; and clears removed
 vertices' bits from the rows in place.  A kept set that is a clique is
@@ -85,6 +86,8 @@ from .model import (
     power_adjacency,
     spell,
     unpack_rows,
+    upper_bits,
+    walk_labels,
     walk_letters,
     walk_words,
 )
@@ -392,8 +395,8 @@ def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
     two arrays of their count, which deg (each kept vertex's number of kept
     neighbors) gives up front; per-block pieces sized by the vertex order
     would fragment the heap.  Rows go 2^14 words at a time: the words of
-    ~row & keep are cleared up to the diagonal bit and in rows not kept,
-    and only the nonzero ones are unpacked (`unpack_rows`)."""
+    ~row & keep are cleared in rows not kept, and `upper_bits` lists
+    their bits right of the diagonal."""
     n, width = rows.shape
     k = int(keep.sum())
     s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
@@ -404,18 +407,12 @@ def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
     step = max(1, 2**14 // max(width, 1))
     at = 0
     for i0 in range(0, n, step):
-        i = np.arange(i0, min(i0 + step, n))
         w = ~rows[i0:i0 + step] & keep_words
-        w[np.arange(width) < (i >> 6)[:, None]] = 0
-        bit = (i & 63).astype(np.uint64)
-        w[i - i0, i >> 6] &= ~((np.uint64(2) << bit) - np.uint64(1))
         w[~keep[i0:i0 + step]] = 0
-        r, c = np.nonzero(w)
-        f = np.flatnonzero(unpack_rows(w[r, c, None], 64))
-        word = f >> 6
-        s[at:at + len(f)] = r[word] + i0
-        t[at:at + len(f)] = c[word] * 64 + (f & 63)
-        at += len(f)
+        r, c = upper_bits(w, np.arange(i0, i0 + len(w)))
+        np.add(r, i0, out=s[at:at + len(r)], casting="unsafe")
+        t[at:at + len(r)] = c
+        at += len(r)
     return s, t
 
 
@@ -674,5 +671,5 @@ def omega_s(D: Digraph, P: Digraph, n: int, *,
     if D.k != P.k:
         raise SpecError(f"vertex-count mismatch: D has {D.k}, P has {P.k}")
     res, walks = _omega(D.without_loops().arc_matrix(), P, n, lex_min)
-    res.witness = ["".join(str(v) for v in walks[i]) for i in res.witness]
+    res.witness = spell(walk_labels(walks[res.witness], D.k))
     return res

@@ -154,6 +154,17 @@ class TestConstructCommand:
         assert proc.stdout == ""
         assert "exceeds cap" in proc.stderr
 
+    @pytest.mark.parametrize("n", ["1000000", "1000000000"])
+    @pytest.mark.parametrize("family", sorted(zecap.cli.FAMILIES))
+    def test_far_over_cap_exit_4_at_once(self, family, n):
+        # the counting stops at the first layer over the cap, so its
+        # integers stay small at any n (the whole count at 10^6, an
+        # integer of about 850 000 bits, ran past 20 s)
+        proc = run_cli("construct", "--family", family, "--n", n,
+                       timeout=30)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert "exceeds cap" in proc.stderr
+
     def test_word_file_format(self, tmp_path):
         out = tmp_path / "code.txt"
         run_cli("construct", "--family", "fibonacci", "--n", "3",
@@ -395,6 +406,44 @@ class TestReportCommand:
                 assert int(row["lower_bound"]) <= exact
                 if row["upper_bound"]:
                     assert exact <= int(row["upper_bound"])
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["capacity", "--lengths", "1,3", "--tol", "1e-300"], 3,
+     "no convergence to tol=1e-300 within 200 bisections"),
+    (["capacity", "--lengths", "1", "--tail", "2"], 2,
+     "tail must be start,step: '2'"),
+    (["capacity", "--lengths", "1", "--tail", "2,x"], 2,
+     "malformed tail: '2,x'"),
+    (["sperner", "--digraph", "C5sym", "--type", "K5", "--k", "4",
+      "--n", "2"], 2, "named digraph C5sym has k=5, not 4"),
+    (["verify", "--channel", "F", "--code", "{empty}"], 2,
+     "no words in {empty}"),
+])
+def test_fault_exits_with_one_error_line(argv, code, error, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n")
+    argv = [a.format(empty=empty) for a in argv]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == f"error: {error.format(empty=empty)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--lengths", "1,2"],
+    ["exact", "--channel", "F", "--n", "4"],
+    ["verify", "--channel", "01-10", "--code", "{code}"],
+])
+def test_pretty_adds_the_indented_record_on_stderr(argv, tmp_path):
+    code = tmp_path / "code.txt"
+    code.write_text("000\n001\n")
+    argv = [a.format(code=code) for a in argv]
+    plain, pretty = run_cli(*argv), run_cli("--pretty", *argv)
+    assert pretty.returncode == plain.returncode
+    assert plain.stderr == ""
+    assert strip_elapsed(pretty.stdout) == strip_elapsed(plain.stdout)
+    assert pretty.stderr == json.dumps(json.loads(pretty.stdout), indent=2,
+                                       sort_keys=True) + "\n"
 
 
 class TestRecordShape:

@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zecap.construct as construct
 from zecap.model import (
     Code,
+    ResourceCapExceeded,
     SpecError,
     TRIANGLE_F,
     TRIANGLE_G,
@@ -121,6 +123,47 @@ class TestArrayEnumerator:
             code = ministring_code(S, n, leading_zero)
             assert len(set(words)) == len(words)
             assert code.n == n and code.words == set(words)
+
+    @pytest.mark.parametrize("leading_zero", [True, False])
+    @pytest.mark.parametrize("index", range(len(SETS)))
+    def test_count_matches_the_whole_recurrence(self, index, leading_zero):
+        # the windowed counts against a list of every a_m, with the
+        # members spelled out, far past the cap
+        S = self.SETS[index]
+        members = S.members_up_to(302)
+        a = [1]
+        for m in range(1, 302):
+            a.append(sum(a[m - len(s)] for s in members if len(s) <= m))
+        for n in range(301):
+            want = a[n] if leading_zero else sum(
+                a[n + 1 - len(s)] for s in members
+                if s[0] == "0" and len(s) <= n + 1)
+            assert ministring_count(S, n, leading_zero) == want
+
+
+# each family's smallest n whose code is over MAX_CODE_WORDS
+FIRST_REFUSED_N = {"ministring-tribonacci": 24, "oddrun": 25, "no111": 23,
+                   "no-isolated-ones": 27, "fibonacci": 29}
+
+
+@pytest.mark.parametrize("family", sorted(FIRST_REFUSED_N))
+def test_first_refused_n(family, monkeypatch):
+    n = FIRST_REFUSED_N[family]
+    with pytest.raises(ResourceCapExceeded,
+                       match=r"^code of about 2\^20\.\d words exceeds cap "
+                             r"1048576$"):
+        FAMILIES[family](n)
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    # one less passes every count and goes on to build its layers
+    monkeypatch.setattr(construct, "_concatenations", build)
+    with pytest.raises(Built):
+        FAMILIES[family](n - 1)
 
 
 class TestDecompose:

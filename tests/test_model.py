@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zecap.capacity import CharacteristicEquation, beta_sequence
+from zecap.construct import (
+    FIBONACCI_SET,
+    MinistringSet,
+    decompose,
+    ministring_code,
+    ministring_count,
+)
 from zecap.model import (
     Code,
     Digraph,
@@ -25,9 +33,11 @@ from zecap.model import (
     parse_channel_spec,
     parse_digraph_spec,
     spell,
+    walk_labels,
     walk_letters,
     walk_words,
 )
+from zecap.search import exact_M, omega_power_markov
 
 words_st = st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
@@ -222,6 +232,15 @@ class TestSpell:
         assert spell(walk_letters(walks)) == ["000111", "101000"]
         assert spell(walk_letters(walks[:0])) == []
 
+    def test_walk_labels_pad_to_the_digits_of_k_minus_1(self):
+        # without padding both walks would spell 1010
+        walks = np.array([[1, 0, 10], [10, 1, 0]], np.uint8)
+        assert spell(walk_labels(walks, 11)) == ["010010", "100100"]
+        assert spell(walk_labels(walks, 101)) == ["001000010", "010001000"]
+        assert spell(walk_labels(np.array([[3, 0, 9]], np.uint16), 10)) == \
+            ["309"]
+        assert spell(walk_labels(walks[:0], 11)) == []
+
 
 class TestEnumerateWalks:
     def test_fibonacci_n2(self):
@@ -276,3 +295,51 @@ class TestEnumerateWalks:
     def test_count_matches_enumeration(self, n):
         assert count_walks(FIBONACCI_DIGRAPH, n) == \
             len(enumerate_walks(FIBONACCI_DIGRAPH, n))
+
+
+
+FIB = FIBONACCI_DIGRAPH
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: CharacteristicEquation((1, 0)),
+                 "all head lengths must be >= 1", id="head-length"),
+    pytest.param(lambda: CharacteristicEquation((1,), (0, 1)),
+                 "tail start and step must be >= 1", id="tail-start"),
+    pytest.param(lambda: CharacteristicEquation((1,), (2, 0)),
+                 "tail start and step must be >= 1", id="tail-step"),
+    pytest.param(lambda: CharacteristicEquation(()),
+                 "equation needs at least one term", id="no-term"),
+    pytest.param(lambda: beta_sequence(-1), "k_max must be >= 0",
+                 id="beta-sequence"),
+    pytest.param(lambda: MinistringSet(()),
+                 "ministring set needs a nonempty finite part",
+                 id="no-ministring"),
+    pytest.param(lambda: MinistringSet(("0",), (0, 1)),
+                 "tail lengths and step must be >= 1", id="ministring-tail"),
+    pytest.param(lambda: decompose("01", MinistringSet(("1", "01"))),
+                 "ministring set is not postfix-free", id="not-postfix-free"),
+    pytest.param(lambda: ministring_code(FIBONACCI_SET, 0), "n must be >= 1",
+                 id="ministring-code"),
+    pytest.param(lambda: ministring_count(FIBONACCI_SET, -1),
+                 "n must be >= 0", id="ministring-count"),
+    pytest.param(lambda: Digraph(0, frozenset()),
+                 "digraph needs at least one vertex", id="no-vertex"),
+    pytest.param(lambda: parse_digraph_spec("0>1;x>1", 2),
+                 "malformed arc token: 'x>1'", id="arc-label"),
+    pytest.param(lambda: enumerate_walks(FIB, 0), "walk length must be >= 1",
+                 id="enumerate-walks"),
+    pytest.param(lambda: count_walks(FIB, 0), "walk length must be >= 1",
+                 id="count-walks"),
+    pytest.param(lambda: exact_M(TRIANGLE_F, 0), "n must be >= 1",
+                 id="exact-M"),
+    pytest.param(lambda: omega_power_markov(TRIANGLE_F, complete_digraph(3),
+                                            2),
+                 "omega_power_markov expects a digraph on the 4 pair letters",
+                 id="power-markov"),
+])
+def test_library_input_checks_raise_spec_error(call, message):
+    # the library's own argument checks, each with its message
+    with pytest.raises(SpecError) as exc:
+        call()
+    assert str(exc.value) == message

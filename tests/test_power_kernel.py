@@ -23,6 +23,7 @@ from zecap.model import (
     parse_channel_spec,
     power_adjacency,
     unpack_rows,
+    upper_bits,
 )
 from zecap.search import (
     distinguishability_matrix,
@@ -199,6 +200,51 @@ class TestPackRows:
         assert rows.flags.c_contiguous
         assert rows.tolist() == scalar_words(view)
         np.testing.assert_array_equal(unpack_rows(rows, view.shape[1]), view)
+
+
+class TestUpperBits:
+    # diagonals on both sides of the 64-bit word edges, and at a row's ends
+    DIAGS = [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191]
+
+    @pytest.mark.parametrize("limit", [None, 1, 100])
+    @pytest.mark.parametrize("density", [0.02, 0.5])
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_matches_dense_upper_triangle(self, words, density, limit):
+        # the oracle: the unpacked bits right of each row's diagonal, listed
+        # row by row
+        width = 64 * words
+        rng = np.random.default_rng(words)
+        diag = np.array([d for d in self.DIAGS if d < width] * 3)
+        bits = rng.random((len(diag), width)) < density
+        upper = bits & (np.arange(width) > diag[:, None])
+        rows = pack_rows(bits)
+        r, c = upper_bits(rows, diag, limit)
+        assert list(zip(r.tolist(), c.tolist())) == \
+            list(zip(*(a.tolist() for a in np.nonzero(upper))))[:limit]
+        # the bits at or left of the diagonal are cleared in place
+        np.testing.assert_array_equal(rows, pack_rows(upper))
+
+    @pytest.mark.parametrize("limit", [None, 1, 100])
+    @pytest.mark.parametrize("i0", [0, 1, 63, 64, 65])
+    def test_a_block_of_rows_below_its_diagonal(self, i0, limit):
+        # as `_nonadjacent_pairs` calls it: rows i0.. of a square matrix,
+        # the diagonal of row r at column i0 + r
+        bits = np.random.default_rng(i0).random((130, 192)) < 0.5
+        block = bits[i0:i0 + 70]
+        diag = np.arange(i0, i0 + len(block))
+        r, c = upper_bits(pack_rows(block), diag, limit)
+        want = [(i, j) for i, j in zip(*np.nonzero(block)) if j > i0 + i]
+        assert list(zip(r.tolist(), c.tolist())) == want[:limit]
+
+    def test_unpacks_at_most_limit_words(self):
+        # every word of every row is nonzero; the listing unpacks only the
+        # first `limit` of them
+        rows = pack_rows(np.ones((50, 192), bool))
+        with mock.patch("zecap.model.unpack_rows",
+                        wraps=unpack_rows) as unpack:
+            r, c = upper_bits(rows, np.zeros(50, np.intp), 5)
+        assert (r.tolist(), c.tolist()) == ([0] * 5, [1, 2, 3, 4, 5])
+        assert unpack.call_args.args[0].shape == (5, 1)
 
 
 class TestVerifyCodeOracle:

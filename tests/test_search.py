@@ -1011,6 +1011,17 @@ class TestOmegaS:
         with pytest.raises(SpecError):
             omega_s(SINGLE_ARC_DIGRAPH, complete_digraph(5), 2)
 
+    @pytest.mark.parametrize("k,n", [(11, 3), (12, 2)])
+    def test_two_digit_labels_spell_apart(self, k, n):
+        # the loop-free K_k's power is complete on all k^n walks, and each
+        # label is two zero-padded digits: (1, 0, 10) and (10, 1, 0) would
+        # both spell 1010 unpadded, as (1, 11) and (11, 1) would 111
+        res = omega_s(complete_digraph(k), complete_digraph(k, True), n)
+        assert res.size == k**n == len(set(res.witness))
+        walks = [tuple(int(w[i:i + 2]) for i in range(0, 2 * n, 2))
+                 for w in res.witness]
+        assert walks == list(itertools.product(range(k), repeat=n))
+
     def test_loops_ignored(self):
         with_loop = Digraph(2, frozenset({(0, 1), (0, 0), (1, 1)}))
         a = omega_s(with_loop, FIBONACCI_DIGRAPH, 4)
