@@ -38,8 +38,10 @@ from .model import (
 
 # verify_code holds at most about this many pair outcomes at once
 VERIFY_BLOCK_PAIRS = 2**20
-# ministring_code refuses, before building anything, a code of more words
+# ministring_code refuses, before building anything, a code of more words,
+# or layers of more bytes in all
 MAX_CODE_WORDS = 2**20
+MAX_LAYER_BYTES = 64 * MAX_CODE_WORDS
 
 
 class NotDecomposable(ValueError):
@@ -155,13 +157,16 @@ def ministring_code(S: MinistringSet, n: int,
     Each length-m layer, m = 1..n, is an (a_m, m) uint8 matrix of ASCII
     bytes, built by the recurrence as one block per first member.  The
     layers and the code are counted first (`_layer_counts`), and the first
-    of them over MAX_CODE_WORDS words raises ResourceCapExceeded before
-    anything is built, so the counts stay small at any n.  The words'
+    of them over MAX_CODE_WORDS words, or the first layer that takes the
+    layers' bytes, the sum of a_m * m, over MAX_LAYER_BYTES, raises
+    ResourceCapExceeded before anything is built, so the counts stay
+    small at any n.  The words'
     matrix becomes the word set by one `spell`, so no word is built by a
     Python loop."""
     if n < 1:
         raise SpecError("n must be >= 1")
     top = n if leading_zero else n + 1
+    held = 0  # bytes of the layers up to m
     for m, (a, z) in zip(range(top + 1), _layer_counts(S)):
         # without the leading zero the code is the z_{n+1} words that
         # follow the 0 of a length-(n+1) concatenation
@@ -171,6 +176,12 @@ def ministring_code(S: MinistringSet, n: int,
             raise ResourceCapExceeded(
                 f"{what} of about 2^{math.log2(count):.1f} words exceeds "
                 f"cap {MAX_CODE_WORDS}")
+        if m <= n:
+            held += a * m
+            if held > MAX_LAYER_BYTES:
+                raise ResourceCapExceeded(
+                    f"layers up to length {m} of {held} bytes exceed cap "
+                    f"{MAX_LAYER_BYTES}")
     if not postfix_free(S):
         raise SpecError("ministring set is not postfix-free")
     members = S.members_up_to(n + 1)

@@ -63,6 +63,18 @@ each decision that finds a clique returns it, and a candidate inside the
 last clique found (at first the one branch and bound found) is kept
 without a search.  The result's `deterministic` flag records which
 mode chose the witness.
+
+Branch and bound and the decisions share one table of proven failures
+per search (`_FailTable`): an entry P -> k says the graph induced on
+bitset P holds no clique of k vertices.  A node below the root records
+P -> kmin when it ends with the incumbent unchanged, since every prune in
+it compared against that incumbent, and a decision records P -> need
+when it fails.  A node or decision whose P has an entry k at most its
+kmin or need returns at once, and is not counted as a node.  The root is
+neither looked up nor recorded, as it drops whole orbits.  The table
+takes no new entry past about `FAIL_TABLE_BYTES` of keys, so its memory
+is bounded and its effect deterministic.  It changes no size and no
+witness: a pruned subtree could not have raised the incumbent.
 """
 
 from __future__ import annotations
@@ -95,6 +107,10 @@ from .model import (
 # the odd constant whose powers weigh the twin cut's row hash (`_row_hashes`):
 # 2^64 over the golden ratio
 _ROW_HASH = 0x9E3779B97F4A7C15
+# the keys of one search's table of proven failures (`_FailTable`) take
+# about this many bytes at most: an n-vertex key is n // 8 bytes, and the
+# int object and its dict slot about 64 more
+FAIL_TABLE_BYTES = 2**24
 
 
 @dataclass
@@ -146,20 +162,44 @@ def _color_classes(far: list[int], P: int, kmin: int
     return order, colors
 
 
+class _FailTable(dict):
+    """Proven failures of one clique search: an entry P -> k says that the
+    graph induced on bitset P holds no clique of k vertices.  It stops
+    growing at `room` entries, while an entry already held can still be
+    lowered, so it stays bounded and deterministic; lookups go on."""
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room = room
+
+    def __setitem__(self, P: int, k: int) -> None:
+        if len(self) < self.room or P in self:
+            super().__setitem__(P, k)
+
+
 class _CliqueKernel:
     """Tomita-style branch and bound on non-neighbor masks: `far[v]` is the
     bitset of the vertices other than v that are not adjacent to v, so one
     coloring step is `q &= far[v]`, and v's neighbors in P, v among them,
     are `P & ~far[v] ^ 1 << v`.  A node colors only the vertices that can
-    be branched on, those of color at least best - depth + 1.  `orbit[v]`
-    is the bitset of v's orbit under a group of automorphisms of the
-    graph, or v alone."""
+    be branched on, those of color at least kmin = best - depth + 1.
+    `orbit[v]` is the bitset of v's orbit under a group of automorphisms
+    of the graph, or v alone.
+
+    `fail` is the search's table of proven failures (`_FailTable`).  A
+    node below the root whose P the table says holds no clique of some
+    k <= kmin returns at once, and is not counted as a node.  A node
+    below the root that ends with `best` unchanged records P -> kmin:
+    every prune in it compared against that same `best`, so finding
+    nothing proves omega(P) < kmin.  The root is neither looked up nor
+    recorded, since it drops whole orbits."""
 
     def __init__(self, far: list[int], seed: Sequence[int],
-                 orbit: list[int]):
+                 orbit: list[int], fail: dict[int, int]):
         self.far = far
         self.single = [1 << v for v in range(len(far))]
         self.orbit = orbit
+        self.fail = fail
         self.nodes = 0
         self.best = len(seed)
         self.best_set: list[int] = list(seed)
@@ -172,14 +212,19 @@ class _CliqueKernel:
         clique through a dropped vertex has an image through the branched
         one that avoids the orbits dropped before, so
         omega = max_i (1 + omega(N(v_i) minus O_1 ... O_(i-1)))."""
+        depth = len(R)
+        best = self.best
+        kmin = best - depth + 1
+        if not root and self.fail.get(P, kmin + 1) <= kmin:
+            return
         self.nodes += 1
         far = self.far
-        depth = len(R)
-        order, colors = root or _color_classes(far, P, self.best - depth + 1)
+        entry = P
+        order, colors = root or _color_classes(far, P, kmin)
         drop = self.orbit if root else self.single
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= self.best:
-                return
+                break
             v = order[i]
             if not P >> v & 1:
                 continue  # dropped with an earlier vertex's orbit
@@ -192,6 +237,8 @@ class _CliqueKernel:
                 self.best_set = list(R)
             R.pop()
             P &= ~drop[v]
+        if not root and self.best == best:
+            self.fail[entry] = kmin
 
 
 def _greedy_clique(far: list[int], P: int) -> list[int]:
@@ -205,41 +252,50 @@ def _greedy_clique(far: list[int], P: int) -> list[int]:
 
 
 def _has_clique_of_size(far: list[int], P: int, need: int,
-                        kernel_nodes: list[int]) -> int | None:
+                        kernel_nodes: list[int], fail: dict[int, int]
+                        ) -> int | None:
     """Decision variant: the bitset of a clique of exactly `need` vertices
     inside bitset P, or None when the graph induced on P has none.  Greedy
     lower bound first, then the coloring bound: only vertices of color at
-    least `need` are branched on."""
+    least `need` are branched on.  `fail` is the table of proven failures
+    (`_FailTable`): P with an entry k <= need returns None at once,
+    without a node, and every None returned after a coloring records
+    P -> need."""
     if need <= 0:
         return 0
-    if P.bit_count() < need:
+    if P.bit_count() < need or fail.get(P, need + 1) <= need:
         return None
     clique = _greedy_clique(far, P)
     if len(clique) >= need:
         return sum(1 << v for v in clique[:need])
     order, _ = _color_classes(far, P, need)
     if not order:
+        fail[P] = need
         return None
     kernel_nodes[0] += 1
     rest = P
     for v in reversed(order):
+        # through the module attribute, where a tracer counts the calls
         found = _has_clique_of_size(far, rest & ~far[v] ^ 1 << v, need - 1,
-                                    kernel_nodes)
+                                    kernel_nodes, fail)
         if found is not None:
             return found | 1 << v
         rest ^= 1 << v
+    fail[P] = need
     return None
 
 
 def _lex_min_witness(far: list[int], P: int, size: int, nodes: list[int],
-                     scan: Sequence[int], found: int) -> list[int]:
+                     scan: Sequence[int], found: int, fail: dict[int, int]
+                     ) -> list[int]:
     """The clique of the known maximum size inside bitset P that comes
     first in the order of `scan`, which lists P's members: each member in
     turn is kept when a clique of that size runs through it and the
     members kept so far.  `found` is the bitset of one such clique, at
     first any clique of that size inside P: a member inside it is kept
     without a search, and each decision search that finds a clique
-    replaces it."""
+    replaces it.  `fail` is the branch and bound's table of proven
+    failures, on the same `far`: each decision reads and extends it."""
     chosen: list[int] = []
     kept = 0
     for v in scan:
@@ -250,7 +306,7 @@ def _lex_min_witness(far: list[int], P: int, size: int, nodes: list[int],
         near = P & ~far[v] ^ 1 << v
         if not found >> v & 1:
             rest = _has_clique_of_size(far, near, size - len(chosen) - 1,
-                                       nodes)
+                                       nodes, fail)
             if rest is None:
                 continue
             found = rest | kept | 1 << v
@@ -325,7 +381,8 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     `lex_min` then replaces the witness by the lexicographically smallest
     maximum clique (deterministic mode), decided in the search's numbering
     with the candidates tried in vertex order, starting from the clique
-    the search found.
+    the search found.  Both read and fill one `_FailTable`, whose room is
+    `FAIL_TABLE_BYTES // (n // 8 + 64)` entries.
 
     The rows become one non-neighbor mask per vertex (`_rows_to_bitsets`).
     The root colorings are complete (`kmin` 1), since their last colors
@@ -357,13 +414,15 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     if root[1][-1] > len(seed) and automorphisms is not None:
         # vertices share an orbit when they share their least image
         label = automorphisms().min(axis=0)[order]
-    kern = _CliqueKernel(far, rank[seed].tolist(), _orbit_bitsets(label))
+    fail = _FailTable(FAIL_TABLE_BYTES // (n // 8 + 64))
+    kern = _CliqueKernel(far, rank[seed].tolist(), _orbit_bitsets(label),
+                         fail)
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min:
         witness = _lex_min_witness(far, P, kern.best, nodes, rank.tolist(),
-                                   sum(1 << v for v in witness))
+                                   sum(1 << v for v in witness), fail)
     return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
                         time.perf_counter() - t0, lex_min)
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,28 @@ def test_first_refused_n(family, monkeypatch):
     monkeypatch.setattr(construct, "_concatenations", build)
     with pytest.raises(Built):
         FAMILIES[family](n - 1)
+
+
+def test_layers_refused_by_bytes_before_memory_runs_out(monkeypatch):
+    # one word a layer, so no word count nears its cap, but the layers up
+    # to n hold n(n + 1)/2 bytes
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapExceeded,
+                       match=r"^layers up to length 11585 of 67111905 bytes "
+                             r"exceed cap 67108864$"):
+        ministring_code(MinistringSet(("0",)), 10**5)
+    assert time.perf_counter() - start < 1
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    # one less passes every count and goes on to build its layers
+    monkeypatch.setattr(construct, "_concatenations", build)
+    with pytest.raises(Built):
+        ministring_code(MinistringSet(("0",)), 11584)
 
 
 class TestDecompose:

@@ -703,17 +703,120 @@ def test_pentagon_walk_group_keeps_size_and_witness(n):
         assert res.size == {2: 4, 3: 10}[n]
 
 
+# the 12 labelings' node counts, sorted, when the search keeps no table
+# of proven failures
+PENTAGON_NODES_WITHOUT_TABLE = [579, 954, 1000, 1008, 1034, 1492, 1525, 1963,
+                                2109, 2194, 2653, 2765]
+
+
 def test_pentagon_nodes():
     # the 12 labelings at n=3 took 67 764 nodes in total without the walk
-    # group and the lex-min pass's found cliques; a change to the kernel's
-    # speed leaves every count as it is
+    # group and the lex-min pass's found cliques, and 19 276 without the
+    # table of proven failures; a change to the kernel's speed leaves every
+    # count as it is
     results = [omega_s(D, complete_digraph(5), 3)
                for D in pentagon_labelings()]
     assert len(results) == 12
     nodes = sorted(r.nodes_explored for r in results)
-    assert nodes == [579, 954, 1000, 1008, 1034, 1492, 1525, 1963, 2109,
-                     2194, 2653, 2765]
-    assert sum(nodes) == 19_276
+    assert nodes == [463, 620, 690, 699, 711, 720, 725, 732, 805, 889, 1029,
+                     1058]
+    assert sum(nodes) == 9_141
+
+
+class ForgetfulTable(dict):
+    """A table of proven failures that stores nothing."""
+
+    def __init__(self, room):
+        super().__init__()
+
+    def __setitem__(self, P, k):
+        pass
+
+
+def test_fail_table_only_prunes(monkeypatch):
+    # without entries the search is the one before the table, node for
+    # node; with them no count rises, and no size or witness moves
+    labelings = pentagon_labelings()
+    results = [omega_s(D, complete_digraph(5), 3) for D in labelings]
+    monkeypatch.setattr(zecap.search, "_FailTable", ForgetfulTable)
+    plain = [omega_s(D, complete_digraph(5), 3) for D in labelings]
+    assert sorted(r.nodes_explored for r in plain) \
+        == PENTAGON_NODES_WITHOUT_TABLE
+    for res, old in zip(results, plain):
+        assert (res.size, res.witness) == (old.size, old.witness)
+        assert res.nodes_explored <= old.nodes_explored
+
+
+def test_forgetful_table_keeps_the_old_decision_count(monkeypatch):
+    calls = []
+    decide = zecap.search._has_clique_of_size
+    monkeypatch.setattr(zecap.search, "_has_clique_of_size",
+                        lambda *a: calls.append(a) or decide(*a))
+    monkeypatch.setattr(zecap.search, "_FailTable", ForgetfulTable)
+    res = omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
+    assert (res.size, res.nodes_explored, len(calls)) == (10, 2194, 678)
+
+
+def test_fail_table_entries_hold_no_clique_of_their_size(monkeypatch):
+    # every entry P -> k, checked by networkx on the graph far describes:
+    # the graph induced on P has no clique of k vertices
+    seen = []
+    lex_min = zecap.search._lex_min_witness
+
+    def spy(far, *args):
+        witness = lex_min(far, *args)
+        seen.append((far, args[-1]))
+        return witness
+
+    monkeypatch.setattr(zecap.search, "_lex_min_witness", spy)
+    omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
+    [(far, fail)] = seen
+    assert len(fail) > 100
+    g = nx.Graph((u, v) for u in range(len(far)) for v in range(u)
+                 if not far[u] >> v & 1)
+    for P, k in fail.items():
+        inside = [v for v in range(len(far)) if P >> v & 1]
+        omega = max(map(len, nx.find_cliques(g.subgraph(inside))),
+                    default=0)
+        assert omega < k
+
+
+def test_fail_table_stops_growing_at_its_room():
+    fail = zecap.search._FailTable(16)
+    for P in range(40):
+        fail[P] = 3
+    assert len(fail) == 16
+    fail[0] = 2  # an entry held can still be lowered
+    fail[99] = 2
+    assert fail == {**dict.fromkeys(range(16), 3), 0: 2}
+
+
+def test_fail_table_budget_keeps_sizes_and_witnesses(monkeypatch):
+    labelings = pentagon_labelings()
+    results = [omega_s(D, complete_digraph(5), 3) for D in labelings]
+    tables = []
+
+    class Small(zecap.search._FailTable):
+        def __init__(self, room):
+            super().__init__(16)
+            self.peak = 0
+            tables.append(self)
+
+        def __setitem__(self, P, k):
+            super().__setitem__(P, k)
+            self.peak = max(self.peak, len(self))
+
+    monkeypatch.setattr(zecap.search, "_FailTable", Small)
+    small = [omega_s(D, complete_digraph(5), 3) for D in labelings]
+    assert len(tables) == 12
+    assert max(t.peak for t in tables) == 16
+    for res, old in zip(small, results):
+        assert (res.size, res.witness) == (old.size, old.witness)
+    # no byte of budget is no room: the search before the table
+    monkeypatch.undo()
+    monkeypatch.setattr(zecap.search, "FAIL_TABLE_BYTES", 0)
+    assert sorted(omega_s(D, complete_digraph(5), 3).nodes_explored
+                  for D in labelings) == PENTAGON_NODES_WITHOUT_TABLE
 
 
 # (D, P) pairs whose searches at n=3 branch on orbits of more than one
@@ -830,7 +933,7 @@ def test_has_clique_of_size_returns_a_clique_or_none(size, density, seed,
     omega = max(map(len, nx.find_cliques(
         nx.from_numpy_array(adj[np.ix_(inside, inside)]))), default=0)
     far = _rows_to_bitsets(pack_rows(adj))
-    found = _has_clique_of_size(far, P, need, [0])
+    found = _has_clique_of_size(far, P, need, [0], {})
     if need > omega:
         assert found is None
     else:
@@ -889,7 +992,7 @@ def test_lex_min_witness_does_not_depend_on_the_clique_it_starts_from(
     far = _rows_to_bitsets(pack_rows(adj))
     for c in maximum[:10]:
         assert _lex_min_witness(far, (1 << size) - 1, omega, [0],
-                                range(size), sum(1 << v for v in c)) \
+                                range(size), sum(1 << v for v in c), {}) \
             == min(maximum)
 
 

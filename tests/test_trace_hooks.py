@@ -49,5 +49,5 @@ def test_traced_search_counts_nodes_and_every_decision(monkeypatch):
     with tracer.traced(tracer.Tracer()) as t:
         res = search.omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
     assert res.size == 10
-    assert t.counts["search.nodes"] == 2194
-    assert t.counts["search.lexmin_calls"] == 678
+    assert t.counts["search.nodes"] == 725
+    assert t.counts["search.lexmin_calls"] == 525
