@@ -160,9 +160,8 @@ def ministring_code(S: MinistringSet, n: int,
     of them over MAX_CODE_WORDS words, or the first layer that takes the
     layers' bytes, the sum of a_m * m, over MAX_LAYER_BYTES, raises
     ResourceCapExceeded before anything is built, so the counts stay
-    small at any n.  The words'
-    matrix becomes the word set by one `spell`, so no word is built by a
-    Python loop."""
+    small at any n.  The words' matrix becomes the word set by one
+    `spell`, so no word is built by a Python loop."""
     if n < 1:
         raise SpecError("n must be >= 1")
     top = n if leading_zero else n + 1
