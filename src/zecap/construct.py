@@ -160,8 +160,9 @@ def ministring_code(S: MinistringSet, n: int,
     of them over MAX_CODE_WORDS words, or the first layer that takes the
     layers' bytes, the sum of a_m * m, over MAX_LAYER_BYTES, raises
     ResourceCapExceeded before anything is built, so the counts stay
-    small at any n.  The words' matrix becomes the word set by one
-    `spell`, so no word is built by a Python loop."""
+    small at any n.  The words' matrix, with a newline column, becomes
+    the code by `Code.from_lines`, so no word string is built until the
+    code's `words` are read."""
     if n < 1:
         raise SpecError("n must be >= 1")
     top = n if leading_zero else n + 1
@@ -195,7 +196,8 @@ def ministring_code(S: MinistringSet, n: int,
     else:
         rows = _concatenations([s[1:] for s in members if s[0] == "0"],
                                layers, n)
-    return Code(n, set(spell(rows)))
+    newlines = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+    return Code.from_lines(n, np.hstack([rows, newlines]))
 
 
 def _layer_counts(S: MinistringSet) -> Iterator[tuple[int, int]]:

@@ -14,7 +14,7 @@ index convention; serialized positions are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -119,53 +119,111 @@ class Digraph:
         return mat
 
 
-@dataclass
 class Code:
-    """A set of distinct equal-length binary words.
+    """A set of distinct equal-length binary words, held in one of two
+    forms.
 
-    `words` is the source of truth and may change after construction:
-    `sorted_lines` recomputes its matrix from the set on every call.  The
-    words are validated on their joined bytes in one vectorized test; only
-    when it fails are they walked, in sorted order, to name the first bad
-    word, so the message does not depend on the set's hash order."""
+    `Code(n, words)` holds the set, and `Code.from_lines(n, lines)` holds
+    the sorted word-file matrix alone, as `sorted_lines` returns it.  The
+    first read of `words` spells a held matrix into the set and drops the
+    matrix; from then on, as for a code built from a set, the set is the
+    source of truth and may change: `sorted_lines` and `len` recompute
+    from it.  Either form is checked once, in one vectorized test; only
+    when it fails are the words walked, in sorted order, to name the
+    first bad word, so the message does not depend on the set's hash
+    order."""
 
-    n: int
-    words: set[str] = field(default_factory=set)
+    def __init__(self, n: int, words: set[str] | None = None):
+        self.n = n
+        self._words = set() if words is None else words
+        self._lines: np.ndarray | None = None
+        self._set_lines()
 
-    def __post_init__(self):
-        self._lines()
+    @classmethod
+    def from_lines(cls, n: int, lines: np.ndarray) -> "Code":
+        """The code whose word file is the bytes of `lines`, a (k, n + 1)
+        uint8 matrix: each row a word's ASCII digits and then a newline
+        byte, in any order.  A bad row raises the SpecError that the set
+        of the rows' words, each row but its last byte, would raise; a row
+        whose last byte is not a newline, and a repeated word, are named
+        too."""
+        code = cls.__new__(cls)
+        code.n, code._words = n, None
+        k, width = lines.shape
+        if not (width == n + 1 and (n >= 1 or not k)
+                and _digits(lines[:, :-1])
+                and (lines[:, -1] == ord("\n")).all()):
+            rows = sorted(bytes(r).decode("ascii", "replace") for r in lines)
+            check_words([r[:-1] for r in rows], n)
+            for r in rows:
+                if r[-1] != "\n":
+                    raise SpecError(f"word {r[:-1]!r} is not followed by "
+                                    "a newline")
+            raise SpecError(f"an empty matrix of width {width}, expected "
+                            f"{n + 1}")
+        lines, keys = _sorted_lines(lines)
+        # each key row as one bytes value, compared in one pass
+        keys = keys.view(np.dtype((np.void, keys.shape[1])))[:, 0]
+        same = np.flatnonzero(keys[1:] == keys[:-1])
+        if same.size:
+            word = bytes(lines[same[0], :-1]).decode("ascii")
+            raise SpecError(f"word {word!r} repeats")
+        lines.flags.writeable = False
+        code._lines = lines
+        return code
 
-    def _lines(self) -> np.ndarray:
-        """The words in set order as a (len, n + 1) uint8 matrix: each row
-        is a word's ASCII bytes and then a newline byte."""
-        k, width = len(self.words), max(self.n, 0) + 1
+    @property
+    def words(self) -> set[str]:
+        if self._words is None:
+            self._words = set(spell(self._lines[:, :-1]))
+            self._lines = None
+        return self._words
+
+    def _set_lines(self) -> np.ndarray:
+        """The set's words in set order as a (len, n + 1) uint8 matrix:
+        each row is a word's ASCII bytes and then a newline byte."""
+        k, width = len(self._words), max(self.n, 0) + 1
         # "replace" keeps one byte per character, so a non-ASCII character
         # is one "?" byte and fails the digit test
-        data = np.frombuffer("\n".join([*self.words, ""]).encode(
+        data = np.frombuffer("\n".join([*self._words, ""]).encode(
             "ascii", "replace"), dtype=np.uint8)
         if data.size == k * width and (self.n >= 1 or not k):
             lines = data.reshape(k, width)
             # with only digits before the last column, the k newlines that
             # end the words fill that column, so every word is n digits
-            # (bytes below "0" wrap to large uint8 differences)
-            if (lines[:, :-1] - np.uint8(ord("0")) <= 1).all():
+            if _digits(lines[:, :-1]):
                 return lines
-        check_words(sorted(self.words), self.n)
+        check_words(sorted(self._words), self.n)
         raise AssertionError("the joined test refused valid words")
 
     def sorted_lines(self) -> np.ndarray:
         """The word file's bytes as a (len, n + 1) uint8 matrix: the words
         in lexicographic order, one per row in ASCII, each followed by a
-        newline byte.  `[:, :-1]` is the words' digit matrix."""
-        lines = self._lines()
-        # the rows' low bits, packed big-endian eight to a byte, sort as the
-        # words do (a newline's low bit is 0 in every row); lexsort's last
-        # key is its primary one
-        keys = np.packbits(lines & 1, axis=1)
-        return lines[np.lexsort(keys.T[::-1])]
+        newline byte.  `[:, :-1]` is the words' digit matrix.  A held
+        matrix is returned itself, read-only."""
+        if self._words is None:
+            return self._lines
+        return _sorted_lines(self._set_lines())[0]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._lines if self._words is None else self._words)
+
+
+def _digits(chars: np.ndarray) -> bool:
+    """True iff every byte is an ASCII "0" or "1" (bytes below "0" wrap to
+    large uint8 differences)."""
+    return bool((chars - np.uint8(ord("0")) <= 1).all())
+
+
+def _sorted_lines(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a word-file matrix in word order, and their sort keys
+    in the same order."""
+    # the rows' low bits, packed big-endian eight to a byte, sort as the
+    # words do (a newline's low bit is 0 in every row); lexsort's last key
+    # is its primary one
+    keys = np.packbits(lines & 1, axis=1)
+    order = np.lexsort(keys.T[::-1])
+    return lines[order], keys[order]
 
 
 def parse_channel_spec(text: str, name: str = "") -> ChannelGraph:

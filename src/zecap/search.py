@@ -72,8 +72,8 @@ it compared against that incumbent, and a decision records P -> need
 when it fails.  A node or decision whose P has an entry k at most its
 kmin or need returns at once, and is not counted as a node.  The root is
 neither looked up nor recorded, as it drops whole orbits.  The table
-takes no new entry past about `FAIL_TABLE_BYTES` of keys, so its memory
-is bounded and its effect deterministic.  It changes no size and no
+takes no new entry past its room, so it holds at most `FAIL_TABLE_BYTES`
+and its effect is deterministic.  It changes no size and no
 witness: a pruned subtree could not have raised the incumbent.
 """
 
@@ -107,10 +107,13 @@ from .model import (
 # the odd constant whose powers weigh the twin cut's row hash (`_row_hashes`):
 # 2^64 over the golden ratio
 _ROW_HASH = 0x9E3779B97F4A7C15
-# the keys of one search's table of proven failures (`_FailTable`) take
-# about this many bytes at most: an n-vertex key is n // 8 bytes, and the
-# int object and its dict slot about 64 more
+# one search's table of proven failures (`_FailTable`) holds at most this
+# many bytes, as tracemalloc counts them (`_fail_table_room`)
 FAIL_TABLE_BYTES = 2**24
+# a bound on a dict's bytes per entry, its growth included: a dict of r
+# entries has fewer than 3r slots of at most 4 index bytes and 2r entries
+# of 24 bytes, and while it grows the old table's half of that is held too
+_DICT_ENTRY_BYTES = 90
 
 
 @dataclass
@@ -160,6 +163,14 @@ def _color_classes(far: list[int], P: int, kmin: int
                 order.append(v)
                 colors.append(color)
     return order, colors
+
+
+def _fail_table_room(n: int) -> int:
+    """The entries of an n-vertex search's `_FailTable` that fit in
+    FAIL_TABLE_BYTES: each key is an int below 2^n, whose object grows in
+    30-bit digits, and a dict entry."""
+    return FAIL_TABLE_BYTES // (sys.getsizeof((1 << n) - 1)
+                                + _DICT_ENTRY_BYTES)
 
 
 class _FailTable(dict):
@@ -382,7 +393,7 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     maximum clique (deterministic mode), decided in the search's numbering
     with the candidates tried in vertex order, starting from the clique
     the search found.  Both read and fill one `_FailTable`, whose room is
-    `FAIL_TABLE_BYTES // (n // 8 + 64)` entries.
+    `_fail_table_room(n)` entries.
 
     The rows become one non-neighbor mask per vertex (`_rows_to_bitsets`).
     The root colorings are complete (`kmin` 1), since their last colors
@@ -414,7 +425,7 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     if root[1][-1] > len(seed) and automorphisms is not None:
         # vertices share an orbit when they share their least image
         label = automorphisms().min(axis=0)[order]
-    fail = _FailTable(FAIL_TABLE_BYTES // (n // 8 + 64))
+    fail = _FailTable(_fail_table_room(n))
     kern = _CliqueKernel(far, rank[seed].tolist(), _orbit_bitsets(label),
                          fail)
     kern.expand([], P, root)

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import zecap.cli
+import zecap.construct
+import zecap.model
 from zecap.model import Code
 
 CLI = [sys.executable, "-m", "zecap.cli"]
@@ -211,6 +213,36 @@ class TestWordFiles:
                 "".join(w + "\n" for w in sorted(words)).encode("ascii")
         zecap.cli.write_word_file(str(out), Code(4, set()))
         assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("family", sorted(CONSTRUCT_18_SHA256))
+    def test_construct_out_spells_no_word(self, family, tmp_path, capsys,
+                                          monkeypatch):
+        # the enumerator's matrix goes to the file with no string per word
+        def refuse(chars):
+            raise AssertionError("a word was spelled")
+        for module in (zecap.model, zecap.construct, zecap.cli):
+            monkeypatch.setattr(module, "spell", refuse)
+        out = tmp_path / "code.txt"
+        assert zecap.cli.main(["construct", "--family", family, "--n", "18",
+                               "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            CONSTRUCT_18_SHA256[family]
+
+    def test_words_read_after_a_build_are_what_is_written(self, tmp_path):
+        # once read, the word set is the code: dropping its least word
+        # drops it from the count, the matrix and the file
+        out = tmp_path / "code.txt"
+        code = zecap.construct.FAMILIES["fibonacci"](8)
+        before, count = code.sorted_lines().tobytes(), len(code)
+        gone = min(code.words)
+        code.words.discard(gone)
+        assert len(code) == count - 1
+        # the least word is the first line
+        want = before.removeprefix((gone + "\n").encode("ascii"))
+        assert len(want) == len(before) - 9
+        assert code.sorted_lines().tobytes() == want
+        zecap.cli.write_word_file(str(out), code)
+        assert out.read_bytes() == want
 
     @pytest.mark.parametrize("family", sorted(CONSTRUCT_18_SHA256))
     @pytest.mark.parametrize("n", range(8, 13))

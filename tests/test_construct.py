@@ -1,6 +1,8 @@
+import functools
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from zecap.construct import (
     _FAMILY_SETS,
     FAMILIES,
     FAMILY_COUNTS,
+    FIBONACCI_SET,
     G_STAR_00,
     G_STAR_01,
     MinistringSet,
@@ -451,6 +454,68 @@ class TestFamilyOracle:
             == expected
         assert ministring_count(ODD_RUN_SET, n, leading_zero=False) \
             == len(expected)
+
+
+@functools.lru_cache(maxsize=1)
+def _words_and_run_ends(n):
+    """The bits of all 2^n words of length n, one row each in lexicographic
+    order, and at each position where a 1-run ends, its length (else 0)."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1) \
+        .astype(np.uint8)
+    runs = np.zeros_like(bits)
+    for i in range(n):
+        runs[:, i] = (runs[:, i - 1] + 1) * bits[:, i] if i else bits[:, 0]
+    follows = np.zeros_like(bits)
+    follows[:, :-1] = bits[:, 1:]
+    return bits, runs * (1 - follows)
+
+
+# a concatenation of a set's members is a word that starts with 0 and has
+# only 1-runs of the lengths the set allows; after the leading zero, the
+# first bit is free
+RUN_LENGTH_RULES = [
+    (TRIBONACCI_SET, lambda ends: ends <= 2),
+    (ODD_RUN_SET, lambda ends: (ends % 2 == 1) | (ends == 0)),
+    (NO_ISOLATED_ONES_SET, lambda ends: ends != 1),
+    (FIBONACCI_SET, lambda ends: ends <= 1),
+]
+
+
+class TestWordFileOracle:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_sorted_lines_are_the_filtered_words(self, n):
+        # the sorted word file of each set's code, with and without the
+        # leading zero, against the words kept by the run-length rule
+        bits, ends = _words_and_run_ends(n)
+        newline = np.full((2**n, 1), ord("\n"), dtype=np.uint8)
+        lines = np.hstack([bits + np.uint8(ord("0")), newline])
+        for S, allowed in RUN_LENGTH_RULES:
+            runs_ok = allowed(ends).all(axis=1)
+            for leading_zero in (True, False):
+                keep = runs_ok & (bits[:, 0] == 0) if leading_zero \
+                    else runs_ok
+                code = ministring_code(S, n, leading_zero)
+                assert code.sorted_lines().tobytes() == \
+                    lines[keep].tobytes(), (S, leading_zero)
+                assert len(code) == np.count_nonzero(keep)
+
+    def test_rule_matches_decompose_at_small_n(self):
+        # the oracle's rule against the unique factorization, one word at
+        # a time, with and without the leading zero
+        def factors(w, S):
+            try:
+                return bool(decompose(w, S))
+            except NotDecomposable:
+                return False
+
+        for n in range(1, 11):
+            bits, ends = _words_and_run_ends(n)
+            words = ["".join(map(str, row)) for row in bits]
+            for S, allowed in RUN_LENGTH_RULES:
+                runs_ok = allowed(ends).all(axis=1)
+                for w, ok in zip(words, runs_ok):
+                    assert factors(w, S) == (ok and w[0] == "0"), (S, w)
+                    assert factors("0" + w, S) == ok, (S, w)
 
 
 class TestVerifyCode:

@@ -73,6 +73,73 @@ class TestCodeValidation:
             Code(3, {"011", "0111", "0110", "01"})
 
 
+def word_lines(words):
+    """The word-file matrix of equal-length words, in the order given."""
+    text = "".join(w + "\n" for w in words).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(words), -1)
+
+
+class TestCodeFromLines:
+    # each bad matrix, and the words of its rows (each row but its last
+    # byte) whose set the set path refuses with the same message
+    @pytest.mark.parametrize("n, lines, words", [
+        (3, word_lines(["012", "011"]), {"012", "011"}),
+        (3, word_lines(["011", "0\n1"]), {"011", "0\n1"}),
+        # width n: the newline column is missing
+        (3, word_lines(["011", "010"])[:, :-1], {"01"}),
+        (3, word_lines(["01", "00"]), {"01", "00"}),
+        (3, word_lines(["0110", "0100"]), {"0110", "0100"}),
+        (0, word_lines([""]), {""}),
+    ])
+    def test_bad_rows_raise_as_the_set_path(self, n, lines, words):
+        with pytest.raises(SpecError) as want:
+            Code(n, words)
+        with pytest.raises(SpecError) as got:
+            Code.from_lines(n, lines)
+        assert str(got.value) == str(want.value)
+
+    def test_a_missing_newline_or_a_repeat_is_named(self):
+        digits = word_lines(["0110", "0101"])[:, :-1]
+        with pytest.raises(SpecError, match="'010' is not followed by"):
+            Code.from_lines(3, digits)
+        with pytest.raises(SpecError, match="'01' repeats"):
+            Code.from_lines(2, word_lines(["10", "01", "00", "01"]))
+        with pytest.raises(SpecError, match="width 3, expected 4"):
+            Code.from_lines(3, np.empty((0, 3), np.uint8))
+
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, 2**n - 1), min_size=1,
+                            max_size=40))))
+    def test_holds_the_set_paths_sorted_lines(self, case):
+        n, values = case
+        words = {format(v, f"0{n}b") for v in values}
+        code = Code.from_lines(n, word_lines(list(words)))
+        assert len(code) == len(words)
+        want = Code(n, set(words)).sorted_lines()
+        assert code.sorted_lines().tobytes() == want.tobytes()
+        assert code.sorted_lines().shape == want.shape
+        assert code.words == words
+
+    def test_no_lines_is_the_empty_code(self):
+        code = Code.from_lines(3, np.empty((0, 4), np.uint8))
+        assert len(code) == 0 and code.sorted_lines().shape == (0, 4)
+        assert code.words == set()
+
+    def test_held_matrix_is_read_only(self):
+        code = Code.from_lines(2, word_lines(["10", "00"]))
+        with pytest.raises(ValueError):
+            code.sorted_lines()[0, 0] = ord("1")
+        assert code.sorted_lines().tobytes() == b"00\n10\n"
+
+    def test_the_set_is_the_truth_once_read(self):
+        code = Code.from_lines(3, word_lines(["011", "000", "010"]))
+        code.words.discard("000")
+        code.words.add("111")
+        assert len(code) == 3
+        assert code.sorted_lines().tobytes() == b"010\n011\n111\n"
+        assert code.sorted_lines().flags.writeable
+
+
 def all_channel_graphs():
     """All 2^6 = 64 loop-free graphs on the pair alphabet."""
     all_edges = [f"{a}-{b}" for a, b in

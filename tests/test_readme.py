@@ -7,6 +7,7 @@ import pathlib
 import re
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_library_example_prints_its_comments():
@@ -55,3 +56,11 @@ def test_every_name_in_backticks_resolves():
     missing = sorted(name for name in names
                      if not any(hasattr(o, name) for o in owners))
     assert missing == []
+
+
+def test_numpy_floor_matches_pyproject():
+    # README's Requirements line and the declared dependency name one
+    # numpy floor
+    declared = re.findall(r'"numpy>=([\d.]+)"', PYPROJECT.read_text())
+    stated = re.findall(r"numpy ([\d.]+)\+", README.read_text())
+    assert declared and stated == declared

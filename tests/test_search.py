@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -789,6 +790,26 @@ def test_fail_table_stops_growing_at_its_room():
     fail[0] = 2  # an entry held can still be lowered
     fail[99] = 2
     assert fail == {**dict.fromkeys(range(16), 3), 0: 2}
+
+
+@pytest.mark.parametrize("n", [80, 150, 349, 1000, 4000])
+def test_a_full_fail_table_holds_at_most_its_budget(n):
+    # a table filled to its room with random n-bit keys, its growth
+    # included: what tracemalloc saw allocated at the peak, and the keys
+    rng = random.Random(n)
+    room = zecap.search._fail_table_room(n)
+    keys = [rng.getrandbits(n) for _ in range(room)]
+    tracemalloc.start()
+    try:
+        fail = zecap.search._FailTable(room)
+        for P in keys:
+            fail[P] = 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fail) == len(set(keys))
+    held = peak + sum(sys.getsizeof(P) for P in fail)
+    assert held <= zecap.search.FAIL_TABLE_BYTES
 
 
 def test_fail_table_budget_keeps_sizes_and_witnesses(monkeypatch):
