@@ -19,6 +19,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .model import (
     Code,
@@ -92,11 +94,30 @@ def parse_tail(text: str | None) -> tuple[int, int] | None:
 
 
 def read_word_file(path: str) -> Code:
-    """The code in a word file, one word per line.  A word that repeats,
-    or the first one that is not a binary word of the first word's length,
-    is named in file order."""
-    with open(path, "r", encoding="ascii") as fh:
-        words = [line.rstrip("\n") for line in fh if line.strip()]
+    """The code in a word file, one word per line.  Lines end at \\n, \\r\\n
+    or \\r, as in text mode, and the last line's end may be missing.  A
+    file whose lines are all one width of binary digits, with no word
+    repeated, is read at once as the byte matrix of `Code.from_lines`.
+    Any other file is walked line by line: blank lines are skipped, and a
+    word that repeats, or else the first one that is not a binary word of
+    the first word's length, is named in file order.  A non-ASCII byte
+    raises UnicodeDecodeError at its offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("ascii")  # raises, naming the first such byte
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    width = data.index(b"\n") + 1
+    if width > 1 and len(data) % width == 0:
+        try:
+            return Code.from_lines(width - 1, np.frombuffer(
+                data, np.uint8).reshape(-1, width))
+        except SpecError:
+            pass  # named below, in file order
+    words = [w for w in data.decode("ascii").split("\n") if w.strip()]
     if not words:
         raise SpecError(f"no words in {path}")
     seen: set[str] = set()

@@ -25,6 +25,9 @@ PAIR_LETTERS = ("00", "01", "10", "11")
 # exact_M's n <= 14 (2^14 pair-shift walks of length 13)
 MAX_VERTICES = 2**14
 
+# the most unpacked entries of arc that `power_adjacency` gathers at once
+TABLE_ENTRIES = 2**24
+
 
 class SpecError(ValueError):
     """Malformed channel/digraph/word spec text."""
@@ -146,7 +149,9 @@ class Code:
         byte, in any order.  A bad row raises the SpecError that the set
         of the rows' words, each row but its last byte, would raise; a row
         whose last byte is not a newline, and a repeated word, are named
-        too."""
+        too.  Rows whose words already strictly ascend are held as they
+        are, through a read-only view, so `lines` must not be written to
+        afterwards."""
         code = cls.__new__(cls)
         code.n, code._words = n, None
         k, width = lines.shape
@@ -161,13 +166,11 @@ class Code:
                                     "a newline")
             raise SpecError(f"an empty matrix of width {width}, expected "
                             f"{n + 1}")
-        lines, keys = _sorted_lines(lines)
-        # each key row as one bytes value, compared in one pass
-        keys = keys.view(np.dtype((np.void, keys.shape[1])))[:, 0]
-        same = np.flatnonzero(keys[1:] == keys[:-1])
+        lines, same = _sorted_lines(lines)
         if same.size:
             word = bytes(lines[same[0], :-1]).decode("ascii")
             raise SpecError(f"word {word!r} repeats")
+        lines = lines.view()
         lines.flags.writeable = False
         code._lines = lines
         return code
@@ -203,7 +206,10 @@ class Code:
         matrix is returned itself, read-only."""
         if self._words is None:
             return self._lines
-        return _sorted_lines(self._set_lines())[0]
+        lines = _sorted_lines(self._set_lines())[0]
+        # a set in word order already comes back as its joined bytes,
+        # which are read-only
+        return lines if lines.flags.writeable else lines.copy()
 
     def __len__(self) -> int:
         return len(self._lines if self._words is None else self._words)
@@ -216,14 +222,22 @@ def _digits(chars: np.ndarray) -> bool:
 
 
 def _sorted_lines(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a word-file matrix in word order, and their sort keys
-    in the same order."""
+    """The rows of a word-file matrix in word order, and the index of each
+    sorted row that equals the next.  Rows whose words already strictly
+    ascend, which also rules out repeats, are returned as they are, with
+    no sort and no gather."""
+    lines = np.ascontiguousarray(lines)
+    # each row as one bytes value, compared bytewise: ASCII digits and
+    # then a newline compare as the words do
+    rows = lines.view(f"S{lines.shape[1]}")[:, 0]
+    if (rows[1:] > rows[:-1]).all():
+        return lines, np.empty(0, np.intp)
     # the rows' low bits, packed big-endian eight to a byte, sort as the
     # words do (a newline's low bit is 0 in every row); lexsort's last key
     # is its primary one
-    keys = np.packbits(lines & 1, axis=1)
-    order = np.lexsort(keys.T[::-1])
-    return lines[order], keys[order]
+    order = np.lexsort(np.packbits(lines & 1, axis=1).T[::-1])
+    rows = rows[order]
+    return lines[order], np.flatnonzero(rows[1:] == rows[:-1])
 
 
 def parse_channel_spec(text: str, name: str = "") -> ChannelGraph:
@@ -356,22 +370,61 @@ def power_adjacency(arc: np.ndarray, A: np.ndarray, B: np.ndarray
 
     A and B are integer arrays of shapes (|A|, L) and (|B|, L); the result
     is the |A| x |B| matrix of `any_i arc[A[:, i], B[:, i]]` in `pack_rows`
-    form.  It is built one coordinate at a time as a row gather of the
-    packed k x |B| table of arc[:, B[:, i]], so no larger array exists.
-    The table is packed from blocks of at most 2^24 unpacked entries, each
-    gathered by `take`, which leaves it C-contiguous for `pack_rows`
-    (a column gather by indexing would leave it Fortran-ordered, and
-    packing that is about ten times slower)."""
+    form.  It is built one coordinate at a time from the packed k x |B|
+    table of arc[:, B[:, i]], by walk prefix: consecutive rows of A that
+    agree on their first i coordinates share the OR of those coordinates'
+    table rows, so one row is held per run of such rows.  At coordinate i
+    each run splits where A[:, i] changes, each new run copies its
+    parent's row, and the table row of its own letter is ORed in, 2^16
+    words at a time; the runs are expanded to |A| rows only at the end,
+    where rows of A repeat.  Walks in lexicographic order share long
+    prefixes, so most coordinates gather far fewer than |A| rows, and no
+    array exists beyond the runs' rows before and after a split.  Only
+    consecutive rows are grouped, so any order of A gives the same
+    result.  The tables of as many coordinates as fit in TABLE_ENTRIES
+    unpacked entries are packed together, and a table larger than that
+    is packed in blocks of rows (`_coordinate_tables`)."""
     width = -(-B.shape[0] // 64)
-    out = np.zeros((A.shape[0], width), dtype="<u8")
-    table = np.empty((arc.shape[0], width), dtype="<u8")
-    step = max(1, 2**24 // max(B.shape[0], 1))
+    head = np.zeros(A.shape[0], dtype=bool)  # rows that start a run
+    head[:1] = True
+    start = np.flatnonzero(head)
+    out = np.zeros((len(start), width), dtype="<u8")
+    span = max(1, TABLE_ENTRIES // max(arc.shape[0] * B.shape[0], 1))
+    block = max(1, 2**16 // max(width, 1))
+    change = A[1:] != A[:-1]
     for i in range(A.shape[1]):
-        for r in range(0, arc.shape[0], step):
-            table[r:r + step] = pack_rows(arc[r:r + step].take(B[:, i],
-                                                               axis=1))
-        out |= table[A[:, i]]
+        if i % span == 0:
+            tables = _coordinate_tables(arc, B[:, i:i + span].T)
+        table = tables[i % span]
+        head[1:] |= change[:, i]
+        runs = np.flatnonzero(head)
+        if len(runs) > len(start):
+            # each new run copies the row of the run it splits from
+            out = out.take(np.searchsorted(start, runs, "right") - 1, axis=0)
+            start = runs
+        letter = A[:, i].take(start)
+        for r in range(0, len(start), block):
+            out[r:r + block] |= table.take(letter[r:r + block], axis=0)
+    if len(start) < A.shape[0]:
+        out = np.repeat(out, np.diff(start, append=A.shape[0]), axis=0)
     return out
+
+
+def _coordinate_tables(arc: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The packed tables arc[:, c] of the rows c of `cols`, as one
+    (len(cols), k, width) array, gathered in blocks of rows of arc of at
+    most TABLE_ENTRIES entries.  `take` leaves each block C-contiguous for
+    `pack_rows` (a column gather by indexing would leave it
+    Fortran-ordered, and packing that is about ten times slower)."""
+    c, nb = cols.shape
+    step = max(1, TABLE_ENTRIES // max(c * nb, 1))
+    tables = np.empty((c, arc.shape[0], -(-nb // 64)), dtype="<u8")
+    for r in range(0, arc.shape[0], step):
+        rows = arc[r:r + step]
+        bits = rows.take(cols, axis=1).reshape(len(rows) * c, nb)
+        tables[:, r:r + step] = pack_rows(bits).reshape(
+            len(rows), c, tables.shape[2]).swapaxes(0, 1)
+    return tables
 
 
 def check_vertex_cap(count: int, what: str) -> None:

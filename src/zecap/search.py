@@ -10,8 +10,9 @@ One vertex cap, `model.MAX_VERTICES`, is checked before anything of its
 size exists.
 
 Every adjacency is held as the packed rows of `model.power_adjacency`,
-never as an N x N boolean array.  Rows are packed, unpacked and listed
-only by `model`: `pack_rows`, `unpack_rows`, and `upper_bits`, which
+built once per run of walks with a common prefix, never as an N x N
+boolean array.  Rows are packed, unpacked and listed only by `model`:
+`pack_rows`, `unpack_rows`, and `upper_bits`, which
 lists the bits right of a diagonal.  The code here relies on their
 layout, 64-bit little-endian words with bit j in word j >> 6, in three
 places: a pair's first witness word is t >> 6, the column clear takes
@@ -23,8 +24,9 @@ words: it cuts twins by a hash of each row, checked by an exact
 comparison; lists the non-adjacent pairs from the nonzero words of
 ~row & keep; tests each pair's subset relation first at
 one cached witness word, at first the word of t's own bit, and over the
-whole rows only where that word no longer witnesses; and clears removed
-vertices' bits from the rows in place.  A kept set that is a clique is
+whole rows only where that word no longer witnesses and s is not yet
+covered in the round; and clears removed vertices' bits from the rows in
+place.  A kept set that is a clique is
 the answer, returned without a search.  Otherwise the pipeline compacts
 the kept set once into the packed rows of the graph it induces
 (`_induced_rows`) and runs branch and bound with greedy-coloring bounds
@@ -444,7 +446,9 @@ def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
     uint64 words of the rows.  wit[i] is the index of a word where row
     s[i] had a bit that row t[i] lacked: where it still has one the pair is
     settled, and otherwise the two rows are tested in full and wit[i] moves
-    to the first word that has one (0 when none does).  Pairs go 2^16 at a
+    to the first word that has one (0 when none does).  A stale pair whose
+    s is already covered is not tested, and its wit[i] is left as it was:
+    the mask is the same, and s leaves with the round.  Pairs go 2^16 at a
     time, and full rows about 2^16 gathered words at a time."""
     covered = np.zeros(words.shape[0], dtype=bool)
     step = 2**16 // words.shape[1]
@@ -453,6 +457,7 @@ def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
         stale = np.flatnonzero((words[cs, cw] & ~words[ct, cw]) == 0)
         for i0 in range(0, len(stale), step):
             i = stale[i0:i0 + step]
+            i = i[~covered[cs[i]]]
             hit = (words[cs[i]] & ~words[ct[i]]) != 0
             cw[i] = hit.argmax(axis=1)
             covered[cs[i[~hit.any(axis=1)]]] = True
@@ -532,10 +537,10 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     lexicographic order, so that word's vertices share t's leading
     coordinates and few are t's neighbors.  `_subset_rows` re-checks the
     word every round and tests the whole rows only where it no longer
-    witnesses, so a stale word costs one full test and is never
-    trusted.  Each round first drops the pairs of removed vertices and
-    re-orients the rest, in place, 2^14 pairs at a time; degrees are
-    popcounts of the words."""
+    witnesses and s is not yet covered, so a stale word costs at most one
+    full test and is never trusted.  Each round first drops the pairs of
+    removed vertices and re-orients the rest, in place, 2^14 pairs at a
+    time; degrees are popcounts of the words."""
     n, width = rows.shape
     _, first, inverse = np.unique(_row_hashes(rows), return_index=True,
                                   return_inverse=True)

@@ -273,6 +273,80 @@ class TestWordFiles:
         assert errors == {f"error: {error}\n"}
 
 
+class TestReadWordFile:
+    """`read_word_file` reads a file of equal lines as one byte matrix and
+    walks any other file line by line; both give the words, or the error,
+    that a walk over the file's text lines in file order gives."""
+
+    @pytest.mark.parametrize("data, words", [
+        (b"011\n010\n000\n", ["000", "010", "011"]),
+        # no newline after the last word
+        (b"011\n010", ["010", "011"]),
+        # blank lines, empty or of spaces, are skipped
+        (b"\n011\n\n010\n  \n", ["010", "011"]),
+        (b"011\n   \n010\n", ["010", "011"]),
+        # \r\n and \r end lines, as in text mode
+        (b"011\r\n010\r\n", ["010", "011"]),
+        (b"01\n00\r\n11\r", ["00", "01", "11"]),
+        (b"0\n1\n", ["0", "1"]),
+    ])
+    def test_words(self, data, words, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(data)
+        code = zecap.cli.read_word_file(str(path))
+        assert code.n == len(words[0])
+        assert code.sorted_lines().tobytes() == \
+            "".join(w + "\n" for w in words).encode("ascii")
+        assert code.words == set(words)
+
+    @pytest.mark.parametrize("data, error", [
+        (b"", "no words in {path}"),
+        (b"\n\n  \n", "no words in {path}"),
+        # the first repeat in file order: in word order, 10 repeats first
+        (b"11\n10\n11\n10\n", "word '11' repeats in {path}"),
+        (b"01\n00\n01", "word '01' repeats in {path}"),
+        # a repeat is named before a bad word
+        (b"0a\n01\n01\n", "word '01' repeats in {path}"),
+        (b"0101\n" * 3000 + b"0121\n", "word '0101' repeats in {path}"),
+        (b"011\n0a1\n01b\n", "not a binary word: '0a1'"),
+        (b"011\n0111\n01\n", "word '0111' has length 4, expected 3"),
+        (b"011\n01\n0111\n", "word '01' has length 2, expected 3"),
+        (b"011\n0\n1\n", "word '0' has length 1, expected 3"),
+        (b"011 \n010 \n", "not a binary word: '011 '"),
+        (b"01\n0\x001\n", "not a binary word: '0\\x001'"),
+    ])
+    def test_errors_in_file_order(self, data, error, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(data)
+        with pytest.raises(zecap.model.SpecError) as got:
+            zecap.cli.read_word_file(str(path))
+        assert str(got.value) == error.format(path=path)
+
+    @pytest.mark.parametrize("data, byte, at", [
+        ("0é1\n".encode("utf-8"), "0xc3", 1),
+        (b"011\n010\n0\xff1\n", "0xff", 9),
+    ])
+    def test_non_ascii_byte(self, data, byte, at, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(data)
+        proc = run_cli("verify", "--code", str(path), "--channel", "F")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: 'ascii' codec can't decode byte "
+                               f"{byte} in position {at}: ordinal not in "
+                               "range(128)\n")
+
+    def test_a_written_file_is_held_as_its_bytes(self, tmp_path):
+        # a file of equal lines is read as one matrix: the code holds the
+        # file's bytes, read-only, with no word set
+        path = tmp_path / "code.txt"
+        zecap.cli.write_word_file(str(path), zecap.construct.FAMILIES[
+            "oddrun"](14))
+        code = zecap.cli.read_word_file(str(path))
+        lines = code.sorted_lines()
+        assert lines.tobytes() == path.read_bytes()
+        assert not lines.flags.writeable and len(code) == 2069
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert zecap.cli.build_parser() is zecap.cli.build_parser()
     echoed = []

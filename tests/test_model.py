@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from zecap.capacity import CharacteristicEquation, beta_sequence
 from zecap.construct import (
+    FAMILIES,
     FIBONACCI_SET,
     MinistringSet,
     decompose,
@@ -130,6 +132,52 @@ class TestCodeFromLines:
         with pytest.raises(ValueError):
             code.sorted_lines()[0, 0] = ord("1")
         assert code.sorted_lines().tobytes() == b"00\n10\n"
+
+    def test_ascending_rows_are_held_as_they_are(self):
+        # rows in strictly ascending word order are held without a sort
+        # or a copy (a strided view is made contiguous); one pair out of
+        # order sorts
+        lines = word_lines(["000", "010", "011", "110", "111"])
+        code = Code.from_lines(3, lines)
+        assert np.shares_memory(code.sorted_lines(), lines)
+        for given in (lines, lines[::2]):
+            code = Code.from_lines(3, given)
+            assert code.sorted_lines().tobytes() == given.tobytes()
+            assert not code.sorted_lines().flags.writeable
+        swapped = word_lines(["000", "011", "010", "110", "111"])
+        code = Code.from_lines(3, swapped)
+        assert not np.shares_memory(code.sorted_lines(), swapped)
+        assert code.sorted_lines().tobytes() == lines.tobytes()
+
+    @pytest.mark.parametrize("words", [set(), {"011"}])
+    def test_a_set_in_word_order_gives_writable_lines(self, words):
+        # no set of fewer than two words can be out of order, so its
+        # joined bytes need no sort; the set path still returns a matrix
+        # of its own
+        lines = Code(3, set(words)).sorted_lines()
+        assert lines.flags.writeable and lines.shape == (len(words), 4)
+
+    @pytest.mark.parametrize("words, word", [
+        (["00", "01", "01", "10"], "01"),
+        (["00", "00"], "00"),
+        (["11", "10", "11"], "11"),
+        (["01", "10", "10", "00", "01"], "01"),
+    ])
+    def test_a_repeat_stops_the_ascent_and_is_named(self, words, word):
+        # a repeat is no strict ascent, so the rows are sorted and the
+        # first repeat in word order is named
+        with pytest.raises(SpecError, match=f"^word '{word}' repeats$"):
+            Code.from_lines(len(word), word_lines(words))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_rows_at_18_need_no_sort(self, family):
+        # ministring_code hands its rows over in word order
+        with mock.patch.object(np, "lexsort",
+                               side_effect=AssertionError("sorted")):
+            code = FAMILIES[family](18)
+        lines = code.sorted_lines()
+        rows = lines.view(f"S{lines.shape[1]}")[:, 0]
+        assert (rows[1:] > rows[:-1]).all()
 
     def test_the_set_is_the_truth_once_read(self):
         code = Code.from_lines(3, word_lines(["011", "000", "010"]))

@@ -2,6 +2,7 @@
 pair predicates."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 import zecap.construct as construct
 from zecap.construct import VerificationReport, verify_code
 from zecap.model import (
+    FIBONACCI_DIGRAPH,
+    NAMED_DIGRAPHS,
     PAIR_LETTERS,
+    TRIANGLE_F,
     Code,
     Digraph,
     all_words,
@@ -157,6 +161,125 @@ class TestPowerAdjacency:
         codes_ = pair_codes(digit_rows(["0110", "1001"]))
         assert codes_.tolist() == [[1, 3, 2], [2, 0, 1]]
         assert pair_codes(digit_rows(["0", "1"])).shape == (2, 0)
+
+
+def reference_power_adjacency(arc, A, B):
+    """The per-coordinate kernel: every coordinate's packed table gathered
+    for every row of A and ORed in."""
+    out = np.zeros((A.shape[0], -(-B.shape[0] // 64)), dtype="<u8")
+    for i in range(A.shape[1]):
+        out |= pack_rows(arc[:, B[:, i]])[A[:, i]]
+    return out
+
+
+class TestPrefixBuild:
+    """`power_adjacency` keeps one row per run of consecutive rows of A
+    with equal prefixes; its rows are the per-coordinate kernel's, byte
+    for byte, whatever the order of A."""
+
+    ARC = np.array([[0, 1, 1], [1, 0, 0], [0, 1, 1]], dtype=bool)
+    B = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1], [0, 0, 0]])
+
+    @pytest.mark.parametrize("A", [
+        # unsorted
+        [[2, 0, 1], [0, 2, 2], [1, 1, 0], [0, 0, 1]],
+        # repeated rows, adjacent and not, and a repeat at the end
+        [[0, 1, 2], [0, 1, 2], [1, 0, 0], [0, 1, 2], [1, 0, 0],
+         [1, 0, 0]],
+        # equal prefixes that are not adjacent: rows 0 and 2 share 0 1,
+        # rows 1 and 3 share 1
+        [[0, 1, 2], [1, 2, 0], [0, 1, 0], [1, 0, 2]],
+        # one run to the end, then splits only at the last coordinate
+        [[2, 2, 0], [2, 2, 1], [2, 2, 2]],
+        [[1, 1, 1]],
+    ])
+    def test_small_walk_arrays(self, A):
+        A = np.array(A)
+        got = power_adjacency(self.ARC, A, self.B)
+        assert got.dtype == np.dtype("<u8") and got.flags.c_contiguous
+        assert got.tobytes() == \
+            reference_power_adjacency(self.ARC, A, self.B).tobytes()
+
+    @pytest.mark.parametrize("na, nb, L", [(0, 5, 2), (5, 0, 2), (0, 0, 2),
+                                           (5, 70, 0), (0, 0, 0)])
+    def test_empty_arrays_and_no_coordinate(self, na, nb, L):
+        rng = np.random.default_rng(na + nb + L)
+        A, B = rng.integers(0, 3, (na, L)), rng.integers(0, 3, (nb, L))
+        got = power_adjacency(self.ARC, A, B)
+        assert got.shape == (na, -(-nb // 64)) and not got.any()
+        assert got.tobytes() == \
+            reference_power_adjacency(self.ARC, A, B).tobytes()
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        digraphs(k), st.integers(0, 4), st.integers(0, 40),
+        st.integers(0, 130), st.randoms(use_true_random=False))))
+    def test_rows_drawn_from_few_prefixes(self, args):
+        # rows drawn from a pool of three, so prefixes and whole rows
+        # repeat, adjacent or apart
+        D, L, na, nb, rng = args
+        k = D.k
+        pool = [[rng.randrange(k) for _ in range(L)] for _ in range(3)]
+        A = np.array([rng.choice(pool) for _ in range(na)],
+                     dtype=np.intp).reshape(na, L)
+        B = np.array([[rng.randrange(k) for _ in range(L)]
+                      for _ in range(nb)], dtype=np.intp).reshape(nb, L)
+        arc = D.arc_matrix()
+        assert power_adjacency(arc, A, B).tobytes() == \
+            reference_power_adjacency(arc, A, B).tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 5, 64, 300, 1000])
+    def test_tables_in_groups_and_row_blocks(self, entries):
+        # a small budget packs one coordinate's table in blocks of rows,
+        # or a few coordinates' tables together, with a last short group;
+        # no block is larger than the budget or than one row of a table
+        rng = np.random.default_rng(entries)
+        arc = rng.random((7, 7)) < 0.4
+        A = rng.integers(0, 7, (50, 5))
+        A = A[np.lexsort(A.T[::-1])]
+        for nb in (0, 1, 9, 70):
+            B = rng.integers(0, 7, (nb, 5))
+            with mock.patch("zecap.model.TABLE_ENTRIES", entries), \
+                    mock.patch("zecap.model.pack_rows",
+                               wraps=pack_rows) as packed:
+                got = power_adjacency(arc, A, B)
+            assert got.tobytes() == \
+                reference_power_adjacency(arc, A, B).tobytes()
+            assert max(call.args[0].size
+                       for call in packed.call_args_list) <= max(entries, nb)
+
+    @pytest.mark.parametrize("P, arc, lengths", [
+        (pair_shift_digraph(), TRIANGLE_F.arc_matrix(), range(1, 14)),
+        (FIBONACCI_DIGRAPH, np.array([[0, 1], [1, 0]], bool),
+         range(1, 13)),
+        (NAMED_DIGRAPHS["C5sym"], NAMED_DIGRAPHS["C5sym"].arc_matrix(),
+         range(1, 4)),
+        (NAMED_DIGRAPHS["K5"], NAMED_DIGRAPHS["K5"].arc_matrix(),
+         range(1, 4)),
+    ], ids=["pair-shift", "fibonacci", "C5sym", "K5"])
+    def test_named_walk_sets(self, P, arc, lengths):
+        # the pair-shift walks of length n - 1 for n = 2..14, the others
+        # of length n; each against itself, and reversed against itself
+        for m in lengths:
+            W = enumerate_walks(P, m)
+            for A in (W, W[::-1]):
+                assert power_adjacency(arc, A, W).tobytes() == \
+                    reference_power_adjacency(arc, A, W).tobytes(), m
+
+    def test_peak_is_under_two_results(self):
+        # the per-coordinate kernel held its result and one full gather;
+        # the prefix build holds the runs' rows before and after the last
+        # split, plus blocks of 2^16 words
+        W = enumerate_walks(pair_shift_digraph(), 11)
+        arc = TRIANGLE_F.arc_matrix()
+        tracemalloc.start()
+        try:
+            out = power_adjacency(arc, W, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2**21
+        assert peak <= 1.6 * out.nbytes
 
 
 def scalar_words(bits):

@@ -345,6 +345,40 @@ def test_subset_rows_matches_unpacked_test():
     assert (words[s, wit] & ~words[t, wit] != 0)[~subset].all()
 
 
+def test_subset_rows_with_many_pairs_per_s():
+    # 40 sparse rows s, each paired with each of 2000 dense rows t, the
+    # 80 000 pairs shuffled over two chunks of 2^16 pairs and several
+    # blocks of full rows.  The odd s hold column 300, which no t holds,
+    # so none of their pairs covers them; an even s lies inside about
+    # half of the t, so its covering pairs come early and late.
+    rng = np.random.default_rng(1)
+    ns, nt, used = 40, 2000, 320
+    bits = np.zeros((ns + nt, used), dtype=bool)
+    bits[:ns] = rng.random((ns, used)) < 0.02
+    bits[ns:] = rng.random((nt, used)) < 0.9
+    bits[:, 300] = False
+    bits[1:ns:2, 300] = True
+    words = pack_rows(bits)
+    s, t = (a.ravel().astype(np.uint32) for a in np.meshgrid(
+        np.arange(ns), np.arange(ns, ns + nt), indexing="ij"))
+    order = rng.permutation(len(s))
+    s, t = s[order], t[order]
+    wit = rng.integers(0, 5, len(s)).astype(np.uint8)
+    subset = ~(bits[s] & ~bits[t]).any(axis=1)
+    want = np.zeros(ns + nt, dtype=bool)
+    want[s[subset]] = True
+    assert want[:ns:2].all() and not want[1::2].any()
+    covered = _subset_rows(words, s, t, wit)
+    np.testing.assert_array_equal(covered, want)
+    witnessed = words[s, wit] & ~words[t, wit] != 0
+    # every pair that is no subset and whose s stays is left on a word
+    # that witnesses it
+    assert witnessed[~subset & ~covered[s]].all()
+    # a stale pair whose s was already covered is not tested, so some of
+    # them keep a word that does not witness
+    assert (~witnessed & ~subset & covered[s]).any()
+
+
 def oracle_nonadjacent_pairs(adj, keep):
     """(i, j), i < j, for kept i and j that are not adjacent, in row-major
     order, from the unpacked matrix."""
