@@ -12,36 +12,36 @@ size exists.
 Every adjacency is held as the packed rows of `model.power_adjacency`,
 built once per run of walks with a common prefix, never as an N x N
 boolean array.  Rows are packed, unpacked and listed only by `model`:
-`pack_rows`, `unpack_rows`, and `upper_bits`, which
-lists the bits right of a diagonal.  The code here relies on their
-layout, 64-bit little-endian words with bit j in word j >> 6, in three
-places: a pair's first witness word is t >> 6, the column clear takes
-the words gone >> 6, and `_rows_to_bitsets` reads each row as one
-little-endian int.  Words, pair letters, walks and digit matrices are
-converted only by `model` (`walk_words`, `walk_letters`, `walk_labels`,
-`spell`).  The pipeline removes dominated vertices on the rows' uint64
-words: it cuts twins by a hash of each row, checked by an exact
-comparison; lists the non-adjacent pairs from the nonzero words of
-~row & keep; tests each pair's subset relation first at
-one cached witness word, at first the word of t's own bit, and over the
-whole rows only where that word no longer witnesses and s is not yet
-covered in the round; and clears removed vertices' bits from the rows in
-place.  A kept set that is a clique is
-the answer, returned without a search.  Otherwise the pipeline compacts
-the kept set once into the packed rows of the graph it induces
-(`_induced_rows`) and runs branch and bound with greedy-coloring bounds
-on Python-int bitsets.  The search holds one
-non-neighbor mask per vertex, `far[v]`, the complement of
-`adj[v] | 1 << v` within the kept set's bits (`_rows_to_bitsets`): a
-coloring step is one `q &= far[v]`, and v's neighbors are taken only at
-a branch.  Each node colors only the vertices it can branch on, those of
-color at least `kmin` (`best - depth + 1` in branch and bound, the size
-still needed in a decision); the classes below are stripped and not
-recorded, which changes no decision.  Each numbering of the search is
-one permutation of the kept vertices: their row order, or their
-smallest-last (degeneracy) order.  The root's greedy clique and coloring
-are taken in row order, and when they meet no search runs; otherwise the
-search runs in whichever numbering's root coloring uses fewer colors.
+`pack_rows`, `unpack_rows`, and `upper_bits`, which lists the bits right
+of a diagonal.  The code here relies on their layout, 64-bit
+little-endian words with bit j in word j >> 6, in three places: a pair's
+first witness word is t >> 6, the column clear takes the words gone >> 6,
+and `_rows_to_bitsets` bit-reverses each row's bytes.  Words, pair
+letters, walks and digit matrices are converted only by `model`
+(`walk_words`, `walk_letters`, `walk_labels`, `spell`).  The pipeline
+removes dominated vertices on the rows' uint64 words: it cuts twins by a
+hash of each row, checked by an exact comparison; lists the non-adjacent
+pairs from the nonzero words of ~row & keep; tests each pair's subset
+relation first at one cached witness word, at first the word of t's own
+bit, and over the whole rows only where that word no longer witnesses
+and s is not yet covered in the round; and clears removed vertices' bits
+from the rows in place.  A kept set that is a clique is the answer,
+returned without a search.  Otherwise the pipeline compacts the kept set
+once into the packed rows of the graph it induces (`_induced_rows`) and
+runs branch and bound with greedy-coloring bounds on Python-int bitsets
+numbered top bit first: vertex v of n sits at bit n - 1 - v, so a
+bitset's lowest vertex is named by its `bit_length()` b = n - v, and
+every table is indexed by b (`_rows_to_bitsets`).  A coloring step is
+`b = q.bit_length(); uncolored ^= top[b]; q &= far[b]`, with far[b] the
+non-neighbors of b, and a branch takes `P & adj[b]`.  Each node colors
+only the vertices it can branch on, those of color at least `kmin`
+(`best - depth + 1` in branch and bound, the size still needed in a
+decision); the classes below are stripped and not recorded, which
+changes no decision.  Each numbering of the search is one permutation of
+the kept vertices: their row order, or their smallest-last (degeneracy)
+order.  The root's greedy clique and coloring are taken in row order, and
+when they meet no search runs; otherwise the search runs in whichever
+numbering's root coloring uses fewer colors.
 
 Only then is the walk group derived (`_walk_automorphisms`), so a search
 that closes at the root does no symmetry work.  It comes from the input:
@@ -116,6 +116,8 @@ FAIL_TABLE_BYTES = 2**24
 # entries has fewer than 3r slots of at most 4 index bytes and 2r entries
 # of 24 bytes, and while it grows the old table's half of that is held too
 _DICT_ENTRY_BYTES = 90
+# the clique kernel's (adj, far, top) tables, of `_rows_to_bitsets`
+_Masks = tuple[list[int], list[int], list[int]]
 
 
 @dataclass
@@ -138,12 +140,12 @@ class SearchResult:
         }
 
 
-def _color_classes(far: list[int], P: int, kmin: int
+def _color_classes(far: list[int], top: list[int], P: int, kmin: int
                    ) -> tuple[list[int], list[int]]:
     """Greedy sequential coloring of bitset P, each class built lowest
-    vertex first: the vertices whose color is at least kmin, class by
-    class, and the color of each, so colors are nondecreasing.  The
-    classes below kmin are stripped with nothing recorded."""
+    vertex first: the bit lengths of the vertices whose color is at least
+    kmin, class by class, and the color of each, so colors are
+    nondecreasing.  Classes below kmin are stripped, nothing recorded."""
     order: list[int] = []
     colors: list[int] = []
     uncolored = P
@@ -153,16 +155,15 @@ def _color_classes(far: list[int], P: int, kmin: int
         q = uncolored
         if color < kmin:
             while q:
-                low = q & -q
-                uncolored ^= low
-                q &= far[low.bit_length() - 1]
+                b = q.bit_length()
+                uncolored ^= top[b]
+                q &= far[b]
         else:
             while q:
-                low = q & -q
-                v = low.bit_length() - 1
-                uncolored ^= low
-                q &= far[v]
-                order.append(v)
+                b = q.bit_length()
+                uncolored ^= top[b]
+                q &= far[b]
+                order.append(b)
                 colors.append(color)
     return order, colors
 
@@ -191,13 +192,12 @@ class _FailTable(dict):
 
 
 class _CliqueKernel:
-    """Tomita-style branch and bound on non-neighbor masks: `far[v]` is the
-    bitset of the vertices other than v that are not adjacent to v, so one
-    coloring step is `q &= far[v]`, and v's neighbors in P, v among them,
-    are `P & ~far[v] ^ 1 << v`.  A node colors only the vertices that can
-    be branched on, those of color at least kmin = best - depth + 1.
-    `orbit[v]` is the bitset of v's orbit under a group of automorphisms
-    of the graph, or v alone.
+    """Tomita-style branch and bound on the masks of `_rows_to_bitsets`,
+    vertices named by bit length: one coloring step is `q &= far[b]`, and
+    b's neighbors in P are `P & adj[b]`.  A node colors only the vertices
+    that can be branched on, those of color at least
+    kmin = best - depth + 1.  `orbit[b]` is the bitset of b's orbit under
+    a group of automorphisms of the graph, or b alone.
 
     `fail` is the search's table of proven failures (`_FailTable`).  A
     node below the root whose P the table says holds no clique of some
@@ -207,11 +207,13 @@ class _CliqueKernel:
     nothing proves omega(P) < kmin.  The root is neither looked up nor
     recorded, since it drops whole orbits."""
 
-    def __init__(self, far: list[int], seed: Sequence[int],
+    def __init__(self, masks: _Masks, seed: Sequence[int],
                  orbit: list[int], fail: dict[int, int]):
-        self.far = far
-        self.single = [1 << v for v in range(len(far))]
-        self.orbit = orbit
+        self.adj, self.far, self.top = masks
+        full = (1 << len(self.top) - 1) - 1
+        # what a branch leaves of P: all but its vertex, or its orbit
+        self.others = [full ^ t for t in self.top]
+        self.apart = [full ^ o for o in orbit]
         self.fail = fail
         self.nodes = 0
         self.best = len(seed)
@@ -231,40 +233,40 @@ class _CliqueKernel:
         if not root and self.fail.get(P, kmin + 1) <= kmin:
             return
         self.nodes += 1
-        far = self.far
+        adj, top = self.adj, self.top
         entry = P
-        order, colors = root or _color_classes(far, P, kmin)
-        drop = self.orbit if root else self.single
+        order, colors = root or _color_classes(self.far, top, P, kmin)
+        rest = self.apart if root else self.others
         for i in range(len(order) - 1, -1, -1):
             if depth + colors[i] <= self.best:
                 break
-            v = order[i]
-            if not P >> v & 1:
+            b = order[i]
+            if not P & top[b]:
                 continue  # dropped with an earlier vertex's orbit
-            new_P = P & ~far[v] ^ 1 << v
-            R.append(v)
+            new_P = P & adj[b]
+            R.append(b)
             if new_P:
                 self.expand(R, new_P)
             elif len(R) > self.best:
                 self.best = len(R)
                 self.best_set = list(R)
             R.pop()
-            P &= ~drop[v]
+            P &= rest[b]
         if not root and self.best == best:
             self.fail[entry] = kmin
 
 
-def _greedy_clique(far: list[int], P: int) -> list[int]:
-    """First-fit clique inside bitset P, lowest vertex first."""
+def _greedy_clique(adj: list[int], P: int) -> list[int]:
+    """First-fit clique inside bitset P, lowest vertex first, by bit length."""
     clique: list[int] = []
     while P:
-        v = (P & -P).bit_length() - 1
-        clique.append(v)
-        P = P & ~far[v] ^ 1 << v
+        b = P.bit_length()
+        clique.append(b)
+        P &= adj[b]
     return clique
 
 
-def _has_clique_of_size(far: list[int], P: int, need: int,
+def _has_clique_of_size(masks: _Masks, P: int, need: int,
                         kernel_nodes: list[int], fail: dict[int, int]
                         ) -> int | None:
     """Decision variant: the bitset of a clique of exactly `need` vertices
@@ -278,64 +280,81 @@ def _has_clique_of_size(far: list[int], P: int, need: int,
         return 0
     if P.bit_count() < need or fail.get(P, need + 1) <= need:
         return None
-    clique = _greedy_clique(far, P)
+    adj, far, top = masks
+    clique = _greedy_clique(adj, P)
     if len(clique) >= need:
-        return sum(1 << v for v in clique[:need])
-    order, _ = _color_classes(far, P, need)
+        return sum(top[b] for b in clique[:need])
+    order, _ = _color_classes(far, top, P, need)
     if not order:
         fail[P] = need
         return None
     kernel_nodes[0] += 1
     rest = P
-    for v in reversed(order):
+    for b in reversed(order):
         # through the module attribute, where a tracer counts the calls
-        found = _has_clique_of_size(far, rest & ~far[v] ^ 1 << v, need - 1,
+        found = _has_clique_of_size(masks, rest & adj[b], need - 1,
                                     kernel_nodes, fail)
         if found is not None:
-            return found | 1 << v
-        rest ^= 1 << v
+            return found | top[b]
+        rest ^= top[b]
     fail[P] = need
     return None
 
 
-def _lex_min_witness(far: list[int], P: int, size: int, nodes: list[int],
+def _lex_min_witness(masks: _Masks, P: int, size: int, nodes: list[int],
                      scan: Sequence[int], found: int, fail: dict[int, int]
                      ) -> list[int]:
     """The clique of the known maximum size inside bitset P that comes
-    first in the order of `scan`, which lists P's members: each member in
-    turn is kept when a clique of that size runs through it and the
-    members kept so far.  `found` is the bitset of one such clique, at
-    first any clique of that size inside P: a member inside it is kept
-    without a search, and each decision search that finds a clique
+    first in the order of `scan`, which lists P's members by bit length:
+    each member in turn is kept when a clique of that size runs through it
+    and the members kept so far.  `found` is the bitset of one such
+    clique, at first any clique of that size inside P: a member inside it
+    is kept without a search, and each decision search that finds a clique
     replaces it.  `fail` is the branch and bound's table of proven
-    failures, on the same `far`: each decision reads and extends it."""
+    failures, on the same masks: each decision reads and extends it."""
+    adj, _, top = masks
     chosen: list[int] = []
     kept = 0
-    for v in scan:
+    for b in scan:
         if len(chosen) == size:
             break
-        if not P >> v & 1:
+        if not P & top[b]:
             continue
-        near = P & ~far[v] ^ 1 << v
-        if not found >> v & 1:
-            rest = _has_clique_of_size(far, near, size - len(chosen) - 1,
+        near = P & adj[b]
+        if not found & top[b]:
+            rest = _has_clique_of_size(masks, near, size - len(chosen) - 1,
                                        nodes, fail)
             if rest is None:
                 continue
-            found = rest | kept | 1 << v
-        chosen.append(v)
-        kept |= 1 << v
+            found = rest | kept | top[b]
+        chosen.append(b)
+        kept |= top[b]
         P = near
     return chosen
 
 
-def _rows_to_bitsets(rows: np.ndarray) -> list[int]:
-    """The non-neighbor mask of each vertex of the graph on packed rows:
-    far[v] is the Python-int bitset of the vertices other than v that are
-    not adjacent to v, as wide as the graph."""
-    full = (1 << rows.shape[0]) - 1
-    return [full ^ (int.from_bytes(row.tobytes(), "little") | 1 << v)
-            for v, row in enumerate(rows)]
+# each byte value with its 8 bits in reverse order
+_BIT_REVERSE = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)],
+                        np.uint8)
+
+
+def _rows_to_bitsets(rows: np.ndarray) -> _Masks:
+    """The kernel's tables of the n-vertex graph on packed rows, bitsets
+    top bit first: vertex v at bit n - 1 - v, named by that bit's
+    `bit_length()` b = n - v.  Indexed by b (slot 0 unused): adj[b], its
+    neighbors; far[b], the other vertices not adjacent to it; top[b], its
+    bit.  Each row's bytes are bit-reversed by table and read as one
+    big-endian int, shifted past the padding."""
+    n, width = rows.shape[0], 8 * rows.shape[1]
+    pad, full = 8 * width - n, (1 << n) - 1
+    # rows last to first, so the i-th row read is that of b = i + 1
+    data = _BIT_REVERSE[np.ascontiguousarray(rows).view(np.uint8)[::-1]
+                        ].tobytes()
+    top = [0] + [1 << i for i in range(n)]
+    near = [0] + [int.from_bytes(data[i * width:i * width + width], "big")
+                  >> pad | 1 << i for i in range(n)]
+    return ([x ^ t for x, t in zip(near, top)],
+            [0] + [full ^ x for x in near[1:]], top)
 
 
 def _induced_rows(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -356,24 +375,28 @@ def _smallest_last(rows: np.ndarray) -> np.ndarray:
     vertex is removed again and again, the highest first on ties, and the
     last one removed comes first."""
     n = rows.shape[0]
-    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    # by reversed index: each row's last n bits unpack from vertex n - 1
+    # down, and argmin's first minimum is the highest vertex
+    u8 = np.ascontiguousarray(rows).view(np.uint8)[:, ::-1]
+    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)[::-1].copy()
     order = np.empty(n, np.intp)
     for i in range(n - 1, -1, -1):
-        v = n - 1 - int(np.argmin(deg[::-1]))
-        order[i] = v
-        deg -= unpack_rows(rows[v:v + 1], n)[0]
+        r = deg.argmin()
+        v = order[i] = n - 1 - r
+        deg -= np.unpackbits(u8[v])[-n:]
         # above every live degree for the n - 1 decrements still to come
-        deg[v] = 2 * n
+        deg[r] = 2 * n
     return order
 
 
 def _orbit_bitsets(label: np.ndarray) -> list[int]:
     """The bitset of each vertex's orbit, the vertices that share its
-    label."""
+    label, indexed by bit length as in `_rows_to_bitsets`."""
+    n = len(label)
     members: dict[int, int] = {}
     for v, lab in enumerate(label.tolist()):
-        members[lab] = members.get(lab, 0) | 1 << v
-    return [members[lab] for lab in label.tolist()]
+        members[lab] = members.get(lab, 0) | 1 << n - 1 - v
+    return [0, *(members[lab] for lab in label[::-1].tolist())]
 
 
 def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
@@ -397,10 +420,11 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     the search found.  Both read and fill one `_FailTable`, whose room is
     `_fail_table_room(n)` entries.
 
-    The rows become one non-neighbor mask per vertex (`_rows_to_bitsets`).
-    The root colorings are complete (`kmin` 1), since their last colors
-    are compared; every coloring below the root keeps only the classes of
-    color at least `kmin`, the ones it can branch on."""
+    The rows become the kernel's masks (`_rows_to_bitsets`), in which a
+    vertex is named by bit length.  The root colorings are complete
+    (`kmin` 1), since their last colors are compared; every coloring below
+    the root keeps only the classes of color at least `kmin`, the ones it
+    can branch on."""
     n = rows.shape[0]
     check_vertex_cap(n, "clique universe")
     if sys.getrecursionlimit() < n + 1000:
@@ -410,33 +434,35 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
         return SearchResult(0, [], 0, time.perf_counter() - t0, lex_min)
     P = (1 << n) - 1
     order = np.arange(n)
-    far = _rows_to_bitsets(rows)
-    seed = _greedy_clique(far, P)
-    root = _color_classes(far, P, 1)
+    masks = _rows_to_bitsets(rows)
+    # a clique's vertex numbers: n minus each bit length
+    seed = n - np.array(_greedy_clique(masks[0], P))
+    root = _color_classes(masks[1], masks[2], P, 1)
     if root[1][-1] > len(seed):
         sl_order = _smallest_last(rows)
-        sl_far = _rows_to_bitsets(_induced_rows(rows, sl_order))
-        sl_seed = sl_order[_greedy_clique(sl_far, P)].tolist()
+        sl_masks = _rows_to_bitsets(_induced_rows(rows, sl_order))
+        sl_seed = sl_order[n - np.array(_greedy_clique(sl_masks[0], P))]
         if len(sl_seed) > len(seed):
             seed = sl_seed
-        sl_root = _color_classes(sl_far, P, 1)
+        sl_root = _color_classes(sl_masks[1], sl_masks[2], P, 1)
         if sl_root[1][-1] < root[1][-1]:
-            order, far, root = sl_order, sl_far, sl_root
-    rank = np.argsort(order)  # the number of each vertex
+            order, masks, root = sl_order, sl_masks, sl_root
+    bits = n - np.argsort(order)  # the bit length of each vertex
     label = np.arange(n)
     if root[1][-1] > len(seed) and automorphisms is not None:
         # vertices share an orbit when they share their least image
         label = automorphisms().min(axis=0)[order]
     fail = _FailTable(_fail_table_room(n))
-    kern = _CliqueKernel(far, rank[seed].tolist(), _orbit_bitsets(label),
+    kern = _CliqueKernel(masks, bits[seed].tolist(), _orbit_bitsets(label),
                          fail)
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min:
-        witness = _lex_min_witness(far, P, kern.best, nodes, rank.tolist(),
-                                   sum(1 << v for v in witness), fail)
-    return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
+        witness = _lex_min_witness(masks, P, kern.best, nodes, bits.tolist(),
+                                   sum(masks[2][b] for b in witness), fail)
+    witness = sorted(order[n - np.array(witness)].tolist())
+    return SearchResult(kern.best, witness, nodes[0],
                         time.perf_counter() - t0, lex_min)
 
 
@@ -681,19 +707,18 @@ def _walk_automorphisms(arc: np.ndarray, P: Digraph, walks: np.ndarray
         relabel = np.array(list(itertools.permutations(range(k))))
     else:
         relabel = np.arange(k)[None]
-    # [j, a, b] = arc[s_j(a), s_j(b)]: s_j maps arc onto that pattern
+    # arc[at][j, a, b] = arc[s_j(a), s_j(b)]; [j, 0] says that s_j maps arc
+    # onto arc (p onto p), [j, 1] onto arc.T (p.T)
     at = (relabel[:, :, None], relabel[:, None, :])
-    moved, moved_p = arc[at], p[at]
-    keeps_arc = ((moved == arc).all(axis=(1, 2))
-                 | (moved == arc.T).all(axis=(1, 2)))
-    keys = _walk_keys(walks)
-    perms = []
-    for j in np.flatnonzero(keeps_arc):
-        for image, target in ((walks, p), (walks[:, ::-1], p.T)):
-            if np.array_equal(moved_p[j], target):
-                perms.append(np.searchsorted(
-                    keys, _walk_keys(relabel[j][image])))
-    return np.array(perms)
+    keeps = (arc[at][:, None] == np.stack([arc, arc.T])).all(axis=(2, 3))
+    keeps_p = (p[at][:, None] == np.stack([p, p.T])).all(axis=(2, 3))
+    # each s_j alone, then s_j composed with reversal
+    j, rev = np.nonzero(keeps.any(axis=1)[:, None] & keeps_p)
+    images = np.take(relabel[j].astype(">u2"), walks, axis=1)
+    images[rev == 1] = images[rev == 1, :, ::-1]
+    found = np.searchsorted(_walk_keys(walks),
+                            _walk_keys(images.reshape(-1, walks.shape[1])))
+    return found.reshape(len(j), len(walks))
 
 
 def _omega(arc: np.ndarray, P: Digraph, m: int, lex_min: bool

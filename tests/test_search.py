@@ -82,6 +82,14 @@ def pack_rows(adj):
     return np.packbits(adj, axis=1, bitorder="little").view("<u8")
 
 
+def flip(P, n):
+    """Bitset P with its n low bits reversed.  This takes the layout these
+    tests build, vertex v at bit v, to the clique kernel's, vertex v at bit
+    n - 1 - v, and back.  The kernel names vertex v by that bit's
+    `bit_length()`, n - v."""
+    return int(f"{P:0{n}b}"[::-1], 2) if n else 0
+
+
 def subset_oracle_M(G, n):
     """Independent oracle: largest pairwise-distinguishable subset by
     scanning every subset of {0,1}^n.  Usable for n <= 3."""
@@ -463,7 +471,7 @@ def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
     # F under bit complement at n=12 keeps 1201 of 4096 words, a clique,
     # which is returned without compacting the rows or building bitsets.
     # arc01/fibonacci at n=8 keeps 49 of its 55 walks, not a clique; each
-    # non-neighbor mask of both numberings is a 49-bit int, not a 55-bit one
+    # mask of both numberings is a 49-bit int, not a 55-bit one
     induced, handed = [], []
     induce, pack = zecap.search._induced_rows, zecap.search._rows_to_bitsets
 
@@ -484,8 +492,9 @@ def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
     assert res.size == 21
     assert len(enumerate_walks(FIBONACCI_DIGRAPH, 8)) == 55
     assert induced[0] == 49
-    assert [len(far) for far in handed] == [49, 49]
-    assert all(0 <= v < 2**49 for far in handed for v in far)
+    # each table is indexed by bit length 1..49, slot 0 unused
+    assert [[len(t) for t in masks] for masks in handed] == [[50] * 3] * 2
+    assert all(0 <= P < 2**49 for masks in handed for t in masks for P in t)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -798,19 +807,22 @@ def test_fail_table_entries_hold_no_clique_of_their_size(monkeypatch):
     seen = []
     lex_min = zecap.search._lex_min_witness
 
-    def spy(far, *args):
-        witness = lex_min(far, *args)
-        seen.append((far, args[-1]))
+    def spy(masks, *args):
+        witness = lex_min(masks, *args)
+        seen.append((masks[1], args[-1]))
         return witness
 
     monkeypatch.setattr(zecap.search, "_lex_min_witness", spy)
     omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
-    [(far, fail)] = seen
+    [(by_bit, fail)] = seen
     assert len(fail) > 100
-    g = nx.Graph((u, v) for u in range(len(far)) for v in range(u)
+    n = len(by_bit) - 1
+    far = [flip(by_bit[n - v], n) for v in range(n)]
+    g = nx.Graph((u, v) for u in range(n) for v in range(u)
                  if not far[u] >> v & 1)
     for P, k in fail.items():
-        inside = [v for v in range(len(far)) if P >> v & 1]
+        P = flip(P, n)
+        inside = [v for v in range(n) if P >> v & 1]
         omega = max(map(len, nx.find_cliques(g.subgraph(inside))),
                     default=0)
         assert omega < k
@@ -987,11 +999,12 @@ def test_has_clique_of_size_returns_a_clique_or_none(size, density, seed,
     inside = [v for v in range(size) if P >> v & 1]
     omega = max(map(len, nx.find_cliques(
         nx.from_numpy_array(adj[np.ix_(inside, inside)]))), default=0)
-    far = _rows_to_bitsets(pack_rows(adj))
-    found = _has_clique_of_size(far, P, need, [0], {})
+    found = _has_clique_of_size(_rows_to_bitsets(pack_rows(adj)),
+                                flip(P, size), need, [0], {})
     if need > omega:
         assert found is None
     else:
+        found = flip(found, size)
         clique = [v for v in range(size) if found >> v & 1]
         assert found & ~P == 0
         assert len(clique) == max(need, 0)
@@ -1027,10 +1040,10 @@ def test_color_classes_keeps_the_oracle_colors_from_kmin(size, density, seed,
     P = (1 << size) - 1 & ~holes
     oracle = greedy_coloring(adj, P)
     last = oracle[-1][1] if oracle else 0
-    far = _rows_to_bitsets(pack_rows(adj))
+    _, far, top = _rows_to_bitsets(pack_rows(adj))
     for kmin in range(1, last + 2):
-        order, colors = _color_classes(far, P, kmin)
-        assert list(zip(order, colors)) \
+        order, colors = _color_classes(far, top, flip(P, size), kmin)
+        assert list(zip([size - b for b in order], colors)) \
             == [(v, c) for v, c in oracle if c >= kmin]
         assert (not order) == (last < kmin)
 
@@ -1044,11 +1057,12 @@ def test_lex_min_witness_does_not_depend_on_the_clique_it_starts_from(
     cliques = [sorted(c) for c in nx.find_cliques(nx.from_numpy_array(adj))]
     omega = max(map(len, cliques))
     maximum = [c for c in cliques if len(c) == omega]
-    far = _rows_to_bitsets(pack_rows(adj))
+    masks = _rows_to_bitsets(pack_rows(adj))
     for c in maximum[:10]:
-        assert _lex_min_witness(far, (1 << size) - 1, omega, [0],
-                                range(size), sum(1 << v for v in c), {}) \
-            == min(maximum)
+        chosen = _lex_min_witness(masks, (1 << size) - 1, omega, [0],
+                                  [size - v for v in range(size)],
+                                  flip(sum(1 << v for v in c), size), {})
+        assert [size - b for b in chosen] == min(maximum)
 
 
 def test_exact_m_holds_no_dense_adjacency():
