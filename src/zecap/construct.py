@@ -3,27 +3,25 @@
 Every family `zecap construct` emits is a ministring code, one row of
 `_FAMILY_SETS`: the length-n concatenations of a postfix-free
 MinistringSet or, without the leading zero, the words w for which "0" + w
-is one.  `ministring_code` and `ministring_count` are the one enumerator
-and the one counter.  Also here: unique factorization, the 111->101
-normalization, the even-run shortening map, sliding two-bit maps and code
-verification.
-
-Family counts use exact Python integers; recurrences stay exact at any n.
+is one.  Each set compiles to one `model.Automaton`: `ministring_code`
+lists its words, and `ministring_count` counts them exactly at any n.
+Also here: unique factorization, the 111->101 normalization,
+the even-run shortening map, sliding two-bit maps and code verification.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .capacity import CharacteristicEquation
 from .model import (
+    Automaton,
     ChannelGraph,
     Code,
     ResourceCapExceeded,
@@ -38,10 +36,8 @@ from .model import (
 
 # verify_code holds at most about this many pair outcomes at once
 VERIFY_BLOCK_PAIRS = 2**20
-# ministring_code refuses, before building anything, a code of more words,
-# or layers of more bytes in all
+# ministring_code refuses, before building anything, a code of more words
 MAX_CODE_WORDS = 2**20
-MAX_LAYER_BYTES = 64 * MAX_CODE_WORDS
 
 
 class NotDecomposable(ValueError):
@@ -92,16 +88,11 @@ FIBONACCI_SET = MinistringSet(("0", "01"))
 def postfix_free(S: MinistringSet) -> bool:
     """True iff no member is a proper suffix of another.  A tail member
     0 1^(L-1) ends only in finite members 1^l, and the first tail length
-    L > l is at most max(l, tail start) + step: that horizon decides."""
-    horizon = max(len(s) for s in S.strings)
-    if S.tail is not None:
-        horizon = max(horizon, S.tail[0]) + S.tail[1]
-    members = S.members_up_to(horizon)
-    for a in members:
-        for b in members:
-            if a != b and b.endswith(a):
-                return False
-    return True
+    L > l is at most max(l, tail start) + step, so the members up to the
+    horizon, the longest finite member plus the tail's start and step,
+    decide."""
+    members = S.members_up_to(max(map(len, S.strings)) + sum(S.tail or ()))
+    return not any(a != b and b.endswith(a) for a in members for b in members)
 
 
 def decompose(x: str, S: MinistringSet) -> list[str]:
@@ -134,19 +125,40 @@ def _factorizer(S: MinistringSet, n: int) -> Callable[[str], list[str]]:
     return factor
 
 
-def _concatenations(prefixes: list[str], layers: list[np.ndarray],
-                    width: int) -> np.ndarray:
-    """Rows of `width` ASCII bytes: for each prefix in turn, the prefix
-    followed by each row of the layer that fills the rest of the width."""
-    rests = [layers[width - len(p)] for p in prefixes]
-    out = np.empty((sum(len(r) for r in rests), width), dtype=np.uint8)
-    row = 0
-    for p, rest in zip(prefixes, rests):
-        block = out[row:row + len(rest)]
-        block[:, :len(p)] = np.frombuffer(p.encode("ascii"), dtype=np.uint8)
-        block[:, len(p):] = rest
-        row += len(rest)
-    return out
+def _automaton(S: MinistringSet, leading_zero: bool) -> Automaton:
+    """S* as an automaton over the bits or, without the leading zero, the
+    words w for which "0" + w is in S*, by subset construction over one
+    chain of states per finite member and a loop for the tail.  A chain
+    state is the string read since the last whole member ("" between
+    members), a proper prefix of a member.  Past the horizon, the longest
+    finite member plus the tail's start and step, only a tail member's
+    prefix 0 1^i remains, and it steps back by the tail's step, so the
+    tail's states close in a loop."""
+    if not postfix_free(S):
+        raise SpecError("ministring set is not postfix-free")
+    horizon = max(map(len, S.strings)) + sum(S.tail or ())
+    members = set(S.members_up_to(2 * horizon + 1))
+    prefixes = {s[:i] for s in members for i in range(1, len(s))}
+
+    def after(chain: frozenset[str], bit: str) -> frozenset[str]:
+        ends = {p + bit for p in chain}
+        return frozenset({w[:-S.tail[1]] if len(w) > horizon else w
+                          for w in ends & prefixes}
+                         | ({""} if ends & members else set()))
+
+    hub = frozenset({""})
+    states, delta = [hub if leading_zero else after(hub, "0")], []
+    for chain in states:  # the list grows as states are found
+        row = [after(chain, bit) for bit in "01"]
+        states += [q for q in dict.fromkeys(row) if q and q not in states]
+        delta.append([states.index(q) if q else -1 for q in row])
+    return Automaton(np.array(delta), np.array(["" in q for q in states]))
+
+
+def _check_code_words(count: int) -> None:
+    if count > MAX_CODE_WORDS:
+        raise ResourceCapExceeded(f"code of about 2^{math.log2(count):.1f} "
+                                  f"words exceeds cap {MAX_CODE_WORDS}")
 
 
 def ministring_code(S: MinistringSet, n: int,
@@ -154,89 +166,29 @@ def ministring_code(S: MinistringSet, n: int,
     """All length-n concatenations of members of S; with leading_zero=False,
     the words w for which "0" + w is a length-(n+1) concatenation.
 
-    Each length-m layer, m = 1..n, is an (a_m, m) uint8 matrix of ASCII
-    bytes, built by the recurrence as one block per first member.  The
-    layers and the code are counted first (`_layer_counts`), and the first
-    of them over MAX_CODE_WORDS words, or the first layer that takes the
-    layers' bytes, the sum of a_m * m, over MAX_LAYER_BYTES, raises
-    ResourceCapExceeded before anything is built, so the counts stay
-    small at any n.  The words' matrix, with a newline column, becomes
-    the code by `Code.from_lines`, so no word string is built until the
-    code's `words` are read."""
+    They are the words of the set's automaton (`_automaton`), listed by
+    `Automaton.words` in lexicographic order as an (a_n, n) uint8 matrix
+    of bits.  A code of more than MAX_CODE_WORDS words, or words of the
+    lengths up to n of more than MAX_LAYER_BYTES, raise
+    ResourceCapExceeded before anything is built, so a refusal is
+    immediate at any n.  The bits as ASCII digits, with a newline column,
+    become the code by `Code.from_lines`, so no word string is built until
+    the code's `words` are read."""
     if n < 1:
         raise SpecError("n must be >= 1")
-    top = n if leading_zero else n + 1
-    held = 0  # bytes of the layers up to m
-    for m, (a, z) in zip(range(top + 1), _layer_counts(S)):
-        # without the leading zero the code is the z_{n+1} words that
-        # follow the 0 of a length-(n+1) concatenation
-        count = a if m <= n else z
-        if count > MAX_CODE_WORDS:
-            what = "code" if m == top else f"length-{m} layer"
-            raise ResourceCapExceeded(
-                f"{what} of about 2^{math.log2(count):.1f} words exceeds "
-                f"cap {MAX_CODE_WORDS}")
-        if m <= n:
-            held += a * m
-            if held > MAX_LAYER_BYTES:
-                raise ResourceCapExceeded(
-                    f"layers up to length {m} of {held} bytes exceed cap "
-                    f"{MAX_LAYER_BYTES}")
-    if not postfix_free(S):
-        raise SpecError("ministring set is not postfix-free")
-    members = S.members_up_to(n + 1)
-    # layers[m] holds the length-m concatenations as a first member then a
-    # shorter concatenation; postfix-freeness makes them all distinct
-    layers = [np.empty((1, 0), dtype=np.uint8)]
-    for m in range(1, n + 1):
-        layers.append(_concatenations([s for s in members if len(s) <= m],
-                                      layers, m))
-    if leading_zero:
-        rows = layers[n]
-    else:
-        rows = _concatenations([s[1:] for s in members if s[0] == "0"],
-                               layers, n)
-    newlines = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
-    return Code.from_lines(n, np.hstack([rows, newlines]))
-
-
-def _layer_counts(S: MinistringSet) -> Iterator[tuple[int, int]]:
-    """(a_m, z_m) for m = 0, 1, 2, ...: the number of length-m
-    concatenations of members of S, and of those that start with 0, by the
-    exact length recurrence a_m = sum over ministring lengths l of
-    a_{m-l}, a_0 = 1, where z_m sums over the members that start with 0
-    only.  The tail's part, T_m = sum over tail lengths L of a_{m-L} =
-    a_{m-start} + T_{m-step}, is in both, since every tail member starts
-    with 0.  Only a window of a and T is kept, so no member string and no
-    old count is stored."""
-    start, step = S.tail or (0, 1)    # a tail starts at length >= 1
-    # a finite member that is also a tail member counts once
-    finite = {s for s in S.strings
-              if not (S.tail and s == "0" + "1" * (len(s) - 1)
-                      and len(s) >= start and (len(s) - start) % step == 0)}
-    zero = [len(s) for s in finite if s[0] == "0"]
-    one = [len(s) for s in finite if s[0] == "1"]
-    width = max(zero + one + [start]) + 1
-    a, T = {0: 1}, {}
-    yield 1, 0
-    for m in itertools.count(1):
-        T[m] = a[m - start] + T.get(m - step, 0) if 0 < start <= m else 0
-        z = T[m] + sum(a[m - l] for l in zero if l <= m)
-        a[m] = z + sum(a[m - l] for l in one if l <= m)
-        a.pop(m - width, None)
-        T.pop(m - step, None)
-        yield a[m], z
+    bits = _automaton(S, leading_zero).words(n, _check_code_words)
+    newlines = np.full((len(bits), 1), ord("\n"), dtype=np.uint8)
+    return Code.from_lines(n, np.hstack([bits + np.uint8(ord("0")),
+                                         newlines]))
 
 
 def ministring_count(S: MinistringSet, n: int,
                      leading_zero: bool = True) -> int:
-    """|ministring_code(S, n, leading_zero)|, exact at any n: a_n of
-    `_layer_counts`, or without the leading zero z_{n+1}."""
+    """|ministring_code(S, n, leading_zero)|, exact at any n: the count of
+    the set's automaton."""
     if n < 0:
         raise SpecError("n must be >= 0")
-    top = n if leading_zero else n + 1
-    a, z = next(itertools.islice(_layer_counts(S), top, None))
-    return a if leading_zero else z
+    return _automaton(S, leading_zero).count(n)
 
 
 def largest_block_class(code: Code, S: MinistringSet, block: str) -> Code:

@@ -14,8 +14,10 @@ index convention; serialized positions are 0-based.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +29,10 @@ MAX_VERTICES = 2**14
 
 # the most unpacked entries of arc that `power_adjacency` gathers at once
 TABLE_ENTRIES = 2**24
+
+# `Automaton.words` refuses, before building anything, words whose
+# lengths 1..n would take more bytes
+MAX_LAYER_BYTES = 64 * 2**20
 
 
 class SpecError(ValueError):
@@ -435,38 +441,130 @@ def check_vertex_cap(count: int, what: str) -> None:
             f"{what} of {count} vertices exceeds cap {MAX_VERTICES}")
 
 
+@dataclass(frozen=True, eq=False)
+class Automaton:
+    """A deterministic finite automaton over the symbols 0..r-1.
+
+    `delta` is a (states, r) integer table: delta[q, a] is the state that
+    symbol a leads to from q, or -1, the dead state.  The start state is
+    0, and `accept` is a boolean mask of the accepting states.  It counts
+    the words it accepts exactly, and lists those of one length in
+    lexicographic order."""
+
+    delta: np.ndarray
+    accept: np.ndarray
+
+    @functools.cached_property
+    def _succ(self) -> list[list[int]]:
+        """Each state's successors that are not the dead state, one per
+        symbol that leads there, in symbol order."""
+        return [row[row >= 0].tolist() for row in self.delta]
+
+    def counts(self) -> Iterator[list[int]]:
+        """c_0, c_1, ...: c_m[q] is the number of length-m words that lead
+        from q to an accepting state, an exact Python int, by the
+        right-language recurrence c_0 = accept, c_m[q] = the sum over a
+        of c_{m-1}[delta[q, a]], the dead state counting 0."""
+        c = [int(a) for a in self.accept]
+        while True:
+            yield c
+            c = [sum(map(c.__getitem__, row)) for row in self._succ]
+
+    def count(self, n: int) -> int:
+        """The number of accepted words of length n."""
+        return next(itertools.islice(self.counts(), n, None))[0]
+
+    def words(self, n: int, check: Callable[[int], None]) -> np.ndarray:
+        """The accepted words of length n >= 1 in lexicographic order, one
+        per row of an array of the narrowest unsigned type that holds the
+        symbols.  The array is Fortran-ordered: each position's symbols
+        are contiguous.
+
+        q's words of length m are, for each symbol a in order, a followed
+        by delta[q, a]'s words of length m - 1 (`_build`).  They are built
+        only for the states that 0 reaches by exactly n - m symbols, from
+        the words of length m - 1 alone.  Before any is written, `check`
+        is called with the number of words, and ResourceCapExceeded is
+        raised when the words of the lengths 1..m take more than
+        MAX_LAYER_BYTES for some m <= n.  That bounds the work, as the
+        words built at length m take a few times the bytes of the words
+        of length m, and the memory: the words built at one length are no
+        more rows than the words of length n (the words of states reached
+        by distinct prefixes extend to distinct words), so what is alive
+        at once, two lengths or the last length and the result, takes at
+        most twice their bytes.  As each length of a nonempty set adds at
+        least m bytes, the count stops by m = 11 585 at any n, and an
+        empty set is found once the counts vanish."""
+        dtype = np.min_scalar_type(self.delta.shape[1] - 1)
+        counts, held = [], 0
+        for m, c in zip(range(n + 1), self.counts()):
+            counts.append(c)
+            if not any(c):  # nor are there longer words
+                break
+            if m == n:
+                check(c[0])
+            held += c[0] * m * dtype.itemsize
+            if held > MAX_LAYER_BYTES:
+                raise ResourceCapExceeded(
+                    f"byte count {held} of the words up to length {m} "
+                    f"exceeds cap {MAX_LAYER_BYTES}")
+        if not counts[-1][0]:
+            return np.empty((0, n), dtype)
+        live = [[0]]  # the states built at the lengths n, n - 1, ..., 1
+        for m in range(n - 1, 0, -1):
+            live.append(list({t for q in live[-1] for t in self._succ[q]
+                              if counts[m][t]}))
+        return self._build(live[::-1], dtype).T
+
+    def _build(self, live: list[list[int]], dtype: np.dtype) -> np.ndarray:
+        """The words of `words`, each a column, so that every copy moves
+        whole rows: live[m - 1] lists the states whose words of length m
+        are built.  q's words of length m are its parts, for each symbol a
+        in order, a followed by delta[q, a]'s words of length m - 1; a part
+        depends only on a and delta[q, a], so it is built once, a symbol
+        row and a copy of the words it extends, for every state that has
+        it."""
+        blocks = {q: [np.empty((0, 1), dtype)]
+                  for q in np.flatnonzero(self.accept).tolist()}
+        for m, states in enumerate(live, 1):
+            pairs = {q: [(a, t) for a, t in enumerate(self.delta[q].tolist())
+                         if t in blocks] for q in states}
+            parts = {}
+            for a, t in dict.fromkeys(itertools.chain(*pairs.values())):
+                parts[a, t] = part = np.empty(
+                    (m, sum(b.shape[1] for b in blocks[t])), dtype)
+                part[0] = a
+                np.concatenate(blocks[t], axis=1, out=part[1:])
+            blocks = {q: [parts[p] for p in qp] for q, qp in pairs.items()}
+        return np.concatenate(blocks[0], axis=1)
+
+
+def _walk_automaton(P: Digraph, n: int) -> Automaton:
+    """V^*(P) as an automaton over P's vertices, for walks of n >= 1
+    vertices: state v + 1 is a walk that ends at v, and the start state 0
+    takes any first vertex."""
+    if n < 1:
+        raise SpecError("walk length must be >= 1")
+    # int16 holds every state, as arc_matrix caps P.k at MAX_VERTICES
+    arcs = np.vstack([np.ones((1, P.k), bool), P.arc_matrix()])
+    return Automaton(np.where(arcs, np.arange(1, P.k + 1, dtype=np.int16),
+                              np.int16(-1)), np.ones(P.k + 1, bool))
+
+
 def enumerate_walks(P: Digraph, n: int) -> np.ndarray:
     """V^n(P): every length-n vertex sequence whose consecutive pairs are
     arcs of P, in lexicographic order, one per row of an array of the
-    narrowest unsigned type that holds P's vertices.  Each layer is counted
-    before it is built (the first by `arc_matrix`), so a walk set over
-    MAX_VERTICES raises ResourceCapExceeded early."""
-    if n < 1:
-        raise SpecError("walk length must be >= 1")
-    arc = P.arc_matrix()
-    walks = np.arange(P.k).reshape(P.k, 1)
-    for _ in range(n - 1):
-        succ = arc[walks[:, -1]]  # row i: the vertices that extend walk i
-        check_vertex_cap(int(succ.sum()), "walk set")
-        rows, last = np.nonzero(succ)
-        walks = np.column_stack([walks[rows], last])
-    # the array lives as long as the search; keep it narrow
-    return walks.astype(np.min_scalar_type(P.k - 1))
+    narrowest unsigned type that holds P's vertices, as
+    `Automaton.words` lists them.  A walk set over MAX_VERTICES, or of
+    more than MAX_LAYER_BYTES over its lengths, raises
+    ResourceCapExceeded before any walk is built."""
+    return np.ascontiguousarray(_walk_automaton(P, n).words(
+        n, lambda count: check_vertex_cap(count, "walk set")))
 
 
 def count_walks(P: Digraph, n: int) -> int:
-    """|V^n(P)| by exact integer transfer-matrix counting."""
-    if n < 1:
-        raise SpecError("walk length must be >= 1")
-    counts = [1] * P.k
-    succ = [[b for (a, b) in P.arcs if a == v] for v in range(P.k)]
-    for _ in range(n - 1):
-        nxt = [0] * P.k
-        for v in range(P.k):
-            for u in succ[v]:
-                nxt[v] += counts[u]
-        counts = nxt
-    return sum(counts)
+    """|V^n(P)|, exact, by the counts of the walk automaton."""
+    return _walk_automaton(P, n).count(n)
 
 
 def all_words(n: int) -> Iterator[str]:

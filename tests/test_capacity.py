@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zecap.model import (
     Digraph,
     FIBONACCI_DIGRAPH,
+    NAMED_DIGRAPHS,
     SpecError,
     count_walks,
     parse_digraph_spec,
@@ -161,10 +162,11 @@ class TestPerronGrowth:
         v = perron_growth(chain)
         assert (v.rate_bits, v.residual, v.root) == (0.0, 0.0, 1.0)
 
-    def test_matches_walk_count_growth(self):
-        v = perron_growth(FIBONACCI_DIGRAPH)
-        lo, hi = count_walks(FIBONACCI_DIGRAPH, 40), \
-            count_walks(FIBONACCI_DIGRAPH, 41)
+    @pytest.mark.parametrize("name", sorted(NAMED_DIGRAPHS))
+    def test_matches_walk_count_growth(self, name):
+        P = NAMED_DIGRAPHS[name]
+        v = perron_growth(P)
+        lo, hi = count_walks(P, 40), count_walks(P, 41)
         assert abs(v.rate_bits - math.log2(hi / lo)) < 1e-9
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,9 @@ def test_directory_as_out_exit_2(argv, tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+CYCLE_5 = "0>1;1>2;2>3;3>4;4>0"
+
+
 class TestSpernerCommand:
     def test_fibonacci_n2(self):
         rec = record_of(run_cli("sperner", "--digraph", "0>1",
@@ -463,6 +467,23 @@ class TestSpernerCommand:
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert "exceeds cap" in proc.stderr
+
+    def test_long_walks_exit_4_at_once(self):
+        # the 5 walks of the directed 5-cycle: the walks of the lengths up
+        # to n take 5n(n + 1)/2 bytes, over 64 MiB from n = 5 181 on
+        start = time.perf_counter()
+        proc = run_cli("sperner", "--digraph", "C5sym", "--type", CYCLE_5,
+                       "--k", "5", "--n", "1000000", timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("error: byte count 67119855 of the words up "
+                               "to length 5181 exceeds cap 67108864\n")
+
+    def test_long_walks_below_the_bound(self):
+        rec = record_of(run_cli("sperner", "--digraph", "C5sym",
+                                "--type", CYCLE_5, "--k", "5",
+                                "--n", "3000", timeout=60))
+        assert rec["outputs"]["size"] == 2
 
     def test_huge_k_exit_4_before_allocating(self):
         # D's 10^6 x 10^6 arc matrix would take 931 GiB

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import zecap.construct as construct
 from zecap.model import (
+    Automaton,
     Code,
     ResourceCapExceeded,
     SpecError,
@@ -145,49 +146,98 @@ class TestArrayEnumerator:
             assert ministring_count(S, n, leading_zero) == want
 
 
+@st.composite
+def drawn_sets(draw):
+    """A MinistringSet of finite members of length <= 5 and an optional
+    tail, as drawn, and its postfix-free part: the members, shortest
+    first, that keep the set postfix-free, or None if none does."""
+    tail = draw(st.none() | st.tuples(st.integers(1, 5), st.integers(1, 3)))
+    strings = draw(st.lists(st.text("01", min_size=1, max_size=5),
+                            min_size=1, max_size=6))
+    kept = []
+    for s in sorted(set(strings), key=lambda s: (len(s), s)):
+        if postfix_free(MinistringSet((*kept, s), tail)):
+            kept.append(s)
+    return (MinistringSet(tuple(strings), tail),
+            MinistringSet(tuple(kept), tail) if kept else None)
+
+
+class TestRandomSets:
+    @settings(max_examples=30, deadline=None)
+    @given(drawn_sets(), st.booleans())
+    def test_code_and_count_match_the_recurrence(self, sets, leading_zero):
+        _, S = sets
+        if S is None:
+            return
+        for n in range(1, 13):
+            words = _string_layer_code(S, n, leading_zero)
+            code = ministring_code(S, n, leading_zero)
+            assert len(set(words)) == len(words)
+            assert code.words == set(words)
+        members = S.members_up_to(202)
+        a = [1]
+        for m in range(1, 202):
+            a.append(sum(a[m - len(s)] for s in members if len(s) <= m))
+        for n in range(201):
+            want = a[n] if leading_zero else sum(
+                a[n + 1 - len(s)] for s in members
+                if s[0] == "0" and len(s) <= n + 1)
+            assert ministring_count(S, n, leading_zero) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_sets(), st.booleans())
+    def test_a_set_not_postfix_free_is_refused(self, sets, leading_zero):
+        S, _ = sets
+        if postfix_free(S):
+            return
+        with pytest.raises(SpecError, match="not postfix-free"):
+            ministring_code(S, 4, leading_zero)
+        with pytest.raises(SpecError, match="not postfix-free"):
+            ministring_count(S, 4, leading_zero)
+
+
 # each family's smallest n whose code is over MAX_CODE_WORDS
 FIRST_REFUSED_N = {"ministring-tribonacci": 24, "oddrun": 25, "no111": 23,
                    "no-isolated-ones": 27, "fibonacci": 29}
 
 
+class Built(Exception):
+    pass
+
+
+def _refuse_to_build(monkeypatch):
+    """Make the enumerator raise Built where it would write its first
+    block, once every count has passed."""
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(Automaton, "_build", build)
+
+
 @pytest.mark.parametrize("family", sorted(FIRST_REFUSED_N))
 def test_first_refused_n(family, monkeypatch):
     n = FIRST_REFUSED_N[family]
+    _refuse_to_build(monkeypatch)
     with pytest.raises(ResourceCapExceeded,
                        match=r"^code of about 2\^20\.\d words exceeds cap "
                              r"1048576$"):
         FAMILIES[family](n)
-
-    class Built(Exception):
-        pass
-
-    def build(*args):
-        raise Built
-
-    # one less passes every count and goes on to build its layers
-    monkeypatch.setattr(construct, "_concatenations", build)
+    # one less passes every count and goes on to build its blocks
     with pytest.raises(Built):
         FAMILIES[family](n - 1)
 
 
 def test_layers_refused_by_bytes_before_memory_runs_out(monkeypatch):
-    # one word a layer, so no word count nears its cap, but the layers up
-    # to n hold n(n + 1)/2 bytes
+    # one word of each length, so no word count nears its cap, but the
+    # words of the lengths up to n hold n(n + 1)/2 bytes
+    _refuse_to_build(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ResourceCapExceeded,
-                       match=r"^layers up to length 11585 of 67111905 bytes "
-                             r"exceed cap 67108864$"):
+                       match=r"^byte count 67111905 of the words up to "
+                             r"length 11585 exceeds cap 67108864$"):
         ministring_code(MinistringSet(("0",)), 10**5)
     assert time.perf_counter() - start < 1
-
-    class Built(Exception):
-        pass
-
-    def build(*args):
-        raise Built
-
-    # one less passes every count and goes on to build its layers
-    monkeypatch.setattr(construct, "_concatenations", build)
+    # one less passes every count and goes on to build its blocks
     with pytest.raises(Built):
         ministring_code(MinistringSet(("0",)), 11584)
 
@@ -567,12 +617,22 @@ def _list_count(S, n, leading_zero=True):
 
 class TestWindowedCount:
     # the family sets, and tails that step by more than one, start at
-    # length 1 or 2, or repeat a finite member ("011" is the tail's first)
+    # length 1 or 2, or repeat a finite member ("011" is the tail's first);
+    # ("10", "0111") has a member that starts with 1
     SETS = [TRIBONACCI_SET, ODD_RUN_SET, NO_ISOLATED_ONES_SET,
             MinistringSet(("0", "01")),
             MinistringSet(("0", "011", "01111"), tail=(3, 2)),
-            MinistringSet(("1", "0111"), tail=(2, 3)),
+            MinistringSet(("10", "0111"), tail=(2, 3)),
             MinistringSet(("01",), tail=(1, 1))]
+
+    def test_count_refuses_a_set_that_is_not_postfix_free(self):
+        # "1" ends the tail member "01", so "0111" factors both as itself
+        # and as 01.1.1, which the list recurrence counts apart; the count,
+        # like the code, refuses the set
+        S = MinistringSet(("1", "0111"), tail=(2, 3))
+        for leading_zero in (True, False):
+            with pytest.raises(SpecError, match="not postfix-free"):
+                ministring_count(S, 4, leading_zero)
 
     @pytest.mark.parametrize("leading_zero", [True, False])
     @pytest.mark.parametrize("index", range(len(SETS)))

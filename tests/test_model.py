@@ -1,4 +1,5 @@
 import itertools
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,12 +16,14 @@ from zecap.construct import (
     ministring_count,
 )
 from zecap.model import (
+    Automaton,
     Code,
     Digraph,
     FIBONACCI_DIGRAPH,
     MAX_VERTICES,
     PAIR_LETTERS,
     ResourceCapExceeded,
+    SINGLE_ARC_DIGRAPH,
     SpecError,
     TRIANGLE_F,
     all_words,
@@ -410,6 +413,58 @@ class TestEnumerateWalks:
     def test_count_matches_enumeration(self, n):
         assert count_walks(FIBONACCI_DIGRAPH, n) == \
             len(enumerate_walks(FIBONACCI_DIGRAPH, n))
+
+    def test_no_walk_of_a_huge_length_at_once(self):
+        # 0>1 has no walk of 3 vertices: found from the counts alone
+        start = time.perf_counter()
+        walks = enumerate_walks(SINGLE_ARC_DIGRAPH, 10**9)
+        assert time.perf_counter() - start < 1
+        assert (walks.shape, walks.dtype) == ((0, 10**9), np.uint8)
+
+    @pytest.mark.parametrize("P, n", [
+        (complete_digraph(4, loops=True), 7), (FIBONACCI_DIGRAPH, 12),
+        (pair_shift_digraph(), 11), (complete_digraph(5), 4)])
+    def test_no_length_of_blocks_holds_more_rows_than_walks(self, P, n,
+                                                            monkeypatch):
+        # what bounds the blocks alive at once: each length's blocks are
+        # at most as many rows as the words of length n
+        rows = []
+
+        def build(self, live, dtype):
+            counts = list(itertools.islice(self.counts(), len(live) + 1))
+            rows.extend(sum(counts[m][q] for q in states)
+                        for m, states in enumerate(live, 1))
+            return real(self, live, dtype)
+
+        real = Automaton._build
+        monkeypatch.setattr(Automaton, "_build", build)
+        walks = enumerate_walks(P, n)
+        assert rows[-1] == max(rows) == len(walks)
+
+
+class TestAutomaton:
+    # the words of even length over 0, 1
+    EVEN = Automaton(np.array([[1, 1], [0, 0]]), np.array([True, False]))
+
+    def test_counts(self):
+        assert [self.EVEN.count(n) for n in range(6)] == [1, 0, 4, 0, 16, 0]
+
+    def test_words_in_lexicographic_order(self):
+        words = self.EVEN.words(4, lambda count: None)
+        assert words.dtype == np.uint8
+        assert words.tolist() == [list(w) for w in
+                                  itertools.product(range(2), repeat=4)]
+
+    def test_no_word_of_an_odd_length(self):
+        assert self.EVEN.words(3, lambda count: None).shape == (0, 3)
+
+    def test_check_sees_the_count_before_anything_is_built(self,
+                                                           monkeypatch):
+        seen = []
+        monkeypatch.setattr(Automaton, "_build", lambda *args: seen.append(
+            "built") or np.empty((6, 0)))
+        self.EVEN.words(6, seen.append)
+        assert seen == [64, "built"]
 
 
 

@@ -64,3 +64,24 @@ def test_numpy_floor_matches_pyproject():
     declared = re.findall(r'"numpy>=([\d.]+)"', PYPROJECT.read_text())
     stated = re.findall(r"numpy ([\d.]+)\+", README.read_text())
     assert declared and stated == declared
+
+
+def test_report_lower_bounds_are_what_readme_says():
+    # the F and G rows' lower bounds are verified codes; the L row's is
+    # a count only, since the no-isolated-ones family is not an L code
+    # from n = 4 on, the pair README names being the first found
+    from zecap.construct import (FAMILIES, TRIBONACCI_SET,
+                                 largest_block_class, ministring_code,
+                                 verify_code)
+    from zecap.model import STAR_L, TRIANGLE_F, TRIANGLE_G
+
+    for n in range(2, 13):
+        F = largest_block_class(ministring_code(TRIBONACCI_SET, n),
+                                TRIBONACCI_SET, "011")
+        assert verify_code(F, TRIANGLE_F).passed
+        assert verify_code(FAMILIES["oddrun"](n), TRIANGLE_G).passed
+        assert verify_code(FAMILIES["no-isolated-ones"](n), STAR_L).passed \
+            == (n < 4)
+    report = verify_code(FAMILIES["no-isolated-ones"](4), STAR_L)
+    assert report.failures == [("0110", "0111")]
+    assert "(0110, 0111) confusable" in README.read_text()

@@ -718,7 +718,9 @@ def symmetric_clique_number(D, P, n):
     g.add_nodes_from(walks)
     g.add_edges_from((u, v) for u, v in itertools.combinations(walks, 2)
                      if arc(u, v) and arc(v, u))
-    return max(map(len, nx.find_cliques(g)), default=0)
+    # branch and bound finds the maximum without listing every maximal
+    # clique; 0 when there is no walk
+    return nx.max_weight_clique(g, weight=None)[1]
 
 
 @st.composite
