@@ -21,17 +21,19 @@ letters, walks and digit matrices are converted only by `model`
 (`walk_words`, `walk_letters`, `walk_labels`, `spell`).  The pipeline
 removes dominated vertices on the rows' uint64 words: it cuts twins by a
 hash of each row, checked by an exact comparison; lists the non-adjacent
-pairs from the nonzero words of ~row & keep; tests each pair's subset
-relation first at one cached witness word, at first the word of t's own
-bit, and over the whole rows only where that word no longer witnesses
-and s is not yet covered in the round; and clears removed vertices' bits
-from the rows in place.  A kept set that is a clique is the answer,
-returned without a search.  Otherwise the pipeline compacts the kept set
-once into the packed rows of the graph it induces (`_induced_rows`) and
-runs branch and bound with greedy-coloring bounds on Python-int bitsets
-numbered top bit first: vertex v of n sits at bit n - 1 - v, so a
-bitset's lowest vertex is named by its `bit_length()` b = n - v, and
-every table is indexed by b (`_rows_to_bitsets`).  A coloring step is
+pairs from the nonzero words of ~row & keep of the kept rows, each
+oriented as it is listed; tests each pair's subset relation first at one
+cached witness word, at first the word of t's own bit, and over the
+whole rows only where that word no longer witnesses and s is not yet
+covered in the round, the candidates t of highest degree first; and
+clears removed vertices' bits from the rows in place.  A kept set that
+is a clique is the answer, returned without a search.  Otherwise the
+pipeline compacts the kept set once into the packed rows of the graph it
+induces (`_induced_rows`) and runs branch and bound with greedy-coloring
+bounds on Python-int bitsets numbered top bit first: vertex v of n sits
+at bit n - 1 - v, so a bitset's lowest vertex is named by its
+`bit_length()` b = n - v, and every table is indexed by b
+(`_rows_to_bitsets`).  A coloring step is
 `b = q.bit_length(); uncolored ^= top[b]; q &= far[b]`, with far[b] the
 non-neighbors of b, and a branch takes `P & adj[b]`.  Each node colors
 only the vertices it can branch on, those of color at least `kmin`
@@ -467,7 +469,7 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
 
 
 def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
-                 wit: np.ndarray) -> np.ndarray:
+                 wit: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """Mask of the rows s[i] whose bits all lie in row t[i], over the
     uint64 words of the rows.  wit[i] is the index of a word where row
     s[i] had a bit that row t[i] lacked: where it still has one the pair is
@@ -475,12 +477,19 @@ def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
     to the first word that has one (0 when none does).  A stale pair whose
     s is already covered is not tested, and its wit[i] is left as it was:
     the mask is the same, and s leaves with the round.  Pairs go 2^16 at a
-    time, and full rows about 2^16 gathered words at a time."""
+    time, and full rows about 2^16 gathered words at a time.  A chunk's
+    stale pairs are tested in order of deg[t], t's degree, highest first
+    and stably (one argsort on an int16 key, exact below the vertex cap):
+    the likeliest cover of s comes first, so a covered s is mostly
+    covered by its first full test and its other pairs are skipped.  Any
+    order of the pairs gives the same mask."""
     covered = np.zeros(words.shape[0], dtype=bool)
     step = 2**16 // words.shape[1]
     for c0 in range(0, len(s), 2**16):
         cs, ct, cw = (a[c0:c0 + 2**16] for a in (s, t, wit))
         stale = np.flatnonzero((words[cs, cw] & ~words[ct, cw]) == 0)
+        stale = stale[np.argsort(-deg[ct[stale]].astype(np.int16),
+                                 kind="stable")]
         for i0 in range(0, len(stale), step):
             i = stale[i0:i0 + step]
             i = i[~covered[cs[i]]]
@@ -492,29 +501,48 @@ def _subset_rows(words: np.ndarray, s: np.ndarray, t: np.ndarray,
 
 def _nonadjacent_pairs(rows: np.ndarray, keep: np.ndarray, deg: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The non-adjacent pairs (i, j), i < j, of the vertices in `keep`, as
-    two arrays of their count, which deg (each kept vertex's number of kept
-    neighbors) gives up front; per-block pieces sized by the vertex order
-    would fragment the heap.  Rows go 2^14 words at a time: the words of
-    ~row & keep are cleared in rows not kept, and `upper_bits` lists
-    their bits right of the diagonal."""
+    """The non-adjacent pairs of the vertices in `keep`, each once and
+    oriented: (s, t) with s the vertex t could cover, of smaller degree
+    (deg, each kept vertex's number of kept neighbors), or of larger index
+    on a tie.  They come as two arrays of their count, which deg gives up
+    front; per-block pieces sized by the vertex order would fragment the
+    heap.  Only the kept rows are gathered, 2^14 words at a time:
+    `upper_bits` lists the bits of ~row & keep right of the diagonal, in
+    row-major order, and each block's pairs are oriented in place."""
     n, width = rows.shape
-    k = int(keep.sum())
-    s, t = np.empty((2, (k * k - k - int(deg[keep].sum())) // 2),
+    kept = np.flatnonzero(keep).astype(np.min_scalar_type(n))
+    k = len(kept)
+    s, t = np.empty((2, (k * k - k - int(deg[kept].sum())) // 2),
                     np.min_scalar_type(n))
     if not len(s):
         return s, t
     keep_words = pack_rows(keep[None])[0]
     step = max(1, 2**14 // max(width, 1))
     at = 0
-    for i0 in range(0, n, step):
-        w = ~rows[i0:i0 + step] & keep_words
-        w[~keep[i0:i0 + step]] = 0
-        r, c = upper_bits(w, np.arange(i0, i0 + len(w)))
-        np.add(r, i0, out=s[at:at + len(r)], casting="unsafe")
-        t[at:at + len(r)] = c
+    for i0 in range(0, k, step):
+        v = kept[i0:i0 + step]
+        r, c = upper_bits(~rows[v] & keep_words, v)
+        i, j = s[at:at + len(r)], t[at:at + len(r)]
         at += len(r)
+        np.take(v, r, out=i)
+        j[:] = c
+        del r, c  # freed before the orientation's gathers, for a lower peak
+        _orient(i, j, deg)
     return s, t
+
+
+def _orient(s: np.ndarray, t: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Orients the pairs (s[i], t[i]) in place so that s[i] is the vertex
+    t[i] could cover: the smaller degree, or the larger index on a tie.
+    Returns the mask of the pairs it swapped."""
+    ds, dt = deg[s], deg[t]
+    flip = (ds > dt) | ((ds == dt) & (s < t))
+    # d is s ^ t where swapped and 0 elsewhere
+    d = s ^ t
+    d *= flip
+    s ^= d
+    t ^= d
+    return flip
 
 
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
@@ -555,18 +583,20 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     first row of its hash, compared a bounded block of rows at a time.  A
     twin whose hash came first with a different row is left to the
     rounds, which remove it by the same rule.  The other non-adjacent
-    pairs are listed once (`_nonadjacent_pairs`), each as (s, t) with s
-    the one t could cover: the smaller degree, or the larger index of
-    twins.  Each pair keeps one cached word index, where N(s) last had a
-    vertex N(t) lacked, at first (and again whenever a round flips the
-    pair) the word of t's own bit, t >> 6: walks are numbered in
-    lexicographic order, so that word's vertices share t's leading
-    coordinates and few are t's neighbors.  `_subset_rows` re-checks the
-    word every round and tests the whole rows only where it no longer
-    witnesses and s is not yet covered, so a stale word costs at most one
-    full test and is never trusted.  Each round first drops the pairs of
-    removed vertices and re-orients the rest, in place, 2^14 pairs at a
-    time; degrees are popcounts of the words."""
+    pairs are listed once from the kept rows (`_nonadjacent_pairs`), each
+    already oriented as (s, t) with s the one t could cover: the smaller
+    degree, or the larger index of twins.  Each pair keeps one cached
+    word index, where N(s) last had a vertex N(t) lacked, at first (and
+    again whenever a round flips the pair) the word of t's own bit,
+    t >> 6: walks are numbered in lexicographic order, so that word's
+    vertices share t's leading coordinates and few are t's neighbors.
+    `_subset_rows` re-checks the word every round and tests the whole
+    rows only where it no longer witnesses and s is not yet covered, the
+    pairs of highest deg[t] first, so a stale word costs at most one full
+    test and is never trusted, and a covered s mostly costs one.  After a
+    round that removes vertices, the pairs of removed vertices are
+    dropped and the rest re-oriented, in place, 2^14 pairs at a time;
+    degrees are popcounts of the words."""
     n, width = rows.shape
     _, first, inverse = np.unique(_row_hashes(rows), return_index=True,
                                   return_inverse=True)
@@ -583,21 +613,7 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
     wit = np.empty(len(s), dtype=np.min_scalar_type(width - 1))
     np.right_shift(t, 6, out=wit, casting="unsafe")
     while len(s):
-        at = 0
-        for c0 in range(0, len(s), 2**14):
-            cs, ct, cw = (a[c0:c0 + 2**14] for a in (s, t, wit))
-            live = keep[cs] & keep[ct]
-            cs, ct, cw = cs[live], ct[live], cw[live]
-            ds, dt = deg[cs], deg[ct]
-            flip = (ds > dt) | ((ds == dt) & (cs < ct))
-            cs[flip], ct[flip] = ct[flip], cs[flip]
-            cw[flip] = ct[flip] >> 6
-            s[at:at + len(cs)], t[at:at + len(cs)] = cs, ct
-            wit[at:at + len(cs)] = cw
-            at += len(cs)
-        # views: the pairs stay in the buffers of the listing
-        s, t, wit = s[:at], t[:at], wit[:at]
-        covered = _subset_rows(rows, s, t, wit)
+        covered = _subset_rows(rows, s, t, wit, deg)
         gone = np.flatnonzero(covered)
         if not len(gone):
             break
@@ -612,6 +628,19 @@ def dominated_vertex_mask(rows: np.ndarray) -> np.ndarray:
             rows[r0:r0 + step, lo:hi] ^= cut
             deg[r0:r0 + step] -= np.bitwise_count(cut).sum(axis=1,
                                                            dtype=np.int32)
+        # drop the pairs of removed vertices and re-orient the rest
+        at = 0
+        for c0 in range(0, len(s), 2**14):
+            cs, ct, cw = (a[c0:c0 + 2**14] for a in (s, t, wit))
+            live = keep[cs] & keep[ct]
+            cs, ct, cw = cs[live], ct[live], cw[live]
+            flip = _orient(cs, ct, deg)
+            cw[flip] = ct[flip] >> 6
+            s[at:at + len(cs)], t[at:at + len(cs)] = cs, ct
+            wit[at:at + len(cs)] = cw
+            at += len(cs)
+        # views: the pairs stay in the buffers of the listing
+        s, t, wit = s[:at], t[:at], wit[:at]
     return keep
 
 

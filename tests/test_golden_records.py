@@ -86,6 +86,14 @@ def golden_argvs() -> list[list[str]]:
     k6 = ";".join(f"{a}>{b}" for a in range(6) for b in range(6) if a != b)
     argvs.append(["sperner", "--digraph", hexagon, "--type", k6,
                   "--k", "6", "--n", "3"])
+    # the images of F and G under bit complement and word reversal, as
+    # their edges map: F's complement, and G's complement, reversal and
+    # both.  F's reversal is F and its "both" image its complement; G's
+    # complement and reversal are one channel, and its "both" image is G,
+    # each written with its edges in another order
+    for channel in ("11-10;11-01;10-01", "11-10;11-00;10-00",
+                    "00-10;00-11;10-11", "11-01;11-00;01-00"):
+        argvs.append(["exact", "--channel", channel, "--n", "12"])
     return argvs
 
 

@@ -350,8 +350,8 @@ class TestUpperBits:
     @pytest.mark.parametrize("limit", [None, 1, 100])
     @pytest.mark.parametrize("i0", [0, 1, 63, 64, 65])
     def test_a_block_of_rows_below_its_diagonal(self, i0, limit):
-        # as `_nonadjacent_pairs` calls it: rows i0.. of a square matrix,
-        # the diagonal of row r at column i0 + r
+        # as `_nonadjacent_pairs` calls it when every row is kept: rows
+        # i0.. of a square matrix, the diagonal of row r at column i0 + r
         bits = np.random.default_rng(i0).random((130, 192)) < 0.5
         block = bits[i0:i0 + 70]
         diag = np.arange(i0, i0 + len(block))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -60,6 +61,10 @@ ALL_CHANNELS = [
     parse_channel_spec(";".join(f"{a}-{b}" for k, (a, b) in enumerate(
         itertools.combinations(PAIR_LETTERS, 2)) if mask >> k & 1))
     for mask in range(64)]
+# F's bit-complement image, and G's complement, reversal and "both" images,
+# each as its edges map
+F_G_IMAGES = ("11-10;11-01;10-01", "11-10;11-00;10-00", "00-10;00-11;10-11",
+              "11-01;11-00;01-00")
 # 00-01;00-10;01-11 and its bit-complement and reversal images: dominance
 # removes two vertices a round for 2^(n-2) rounds
 MANY_ROUNDS_ORBIT = ("00-01;00-10;01-11", "00-10;01-11;10-11",
@@ -280,7 +285,8 @@ class TestDominatedVertexMask:
                 dominated_vertex_mask(pack_rows(adj)),
                 reference_dominated_vertex_mask(adj), err_msg=G.to_spec())
 
-    @pytest.mark.parametrize("spec", ["F", "G", "L", "Q", "00-11", ""])
+    @pytest.mark.parametrize("spec", ["F", "G", "L", "Q", "00-11", "",
+                                      *F_G_IMAGES])
     def test_matches_reference_at_2048_vertices(self, spec):
         # pairs are listed in 4 blocks of 512 rows of 32 words, and a round
         # that removes vertices across the row clears their columns in as
@@ -345,7 +351,7 @@ def test_subset_rows_matches_unpacked_test():
     assert (s_bits != t_bits).any(axis=1)[kind == 0].all()
     cached = words[s, wit] & ~words[t, wit] != 0
     np.testing.assert_array_equal(cached[kind >= 4], kind[kind >= 4] == 5)
-    covered = _subset_rows(words, s, t, wit)
+    covered = _subset_rows(words, s, t, wit, bits.sum(axis=1))
     want = np.zeros(2 * m, dtype=bool)
     want[s[subset]] = True
     np.testing.assert_array_equal(covered, want)
@@ -376,7 +382,7 @@ def test_subset_rows_with_many_pairs_per_s():
     want = np.zeros(ns + nt, dtype=bool)
     want[s[subset]] = True
     assert want[:ns:2].all() and not want[1::2].any()
-    covered = _subset_rows(words, s, t, wit)
+    covered = _subset_rows(words, s, t, wit, bits.sum(axis=1))
     np.testing.assert_array_equal(covered, want)
     witnessed = words[s, wit] & ~words[t, wit] != 0
     # every pair that is no subset and whose s stays is left on a word
@@ -385,6 +391,71 @@ def test_subset_rows_with_many_pairs_per_s():
     # a stale pair whose s was already covered is not tested, so some of
     # them keep a word that does not witness
     assert (~witnessed & ~subset & covered[s]).any()
+
+
+def test_subset_rows_tries_the_highest_degree_cover_first():
+    # 32 rows s of 2048 words each, so full rows go 32 pairs at a time.
+    # Each s is listed with 40 candidates t of lower degree first, none a
+    # cover, and then with one row H of the highest degree, which covers
+    # the even s; an odd s holds a bit of word 5 that no t holds.  Every
+    # cached word is 1, where no s has a bit, so every pair is stale
+    ns, nlow, width = 32, 40, 2048
+    words = np.zeros((ns + nlow + 1, width), np.uint64)
+    words[:ns, 0] = 0b011
+    words[1:ns:2, 5] = 1
+    # the low candidates lack bit 1, and hold 0..39 bits of word 2
+    words[ns:ns + nlow, 0] = 0b001
+    words[ns:ns + nlow, 2] = (np.uint64(1) << np.arange(nlow, dtype=np.uint64)
+                              ) - np.uint64(1)
+    words[-1, 0], words[-1, 3] = 0b111, ~np.uint64(0)
+    H = ns + nlow
+    t = np.tile(np.append(np.arange(ns, H), H), ns).astype(np.uint16)
+    s = np.repeat(np.arange(ns), nlow + 1).astype(np.uint16)
+    wit = np.ones(len(s), np.uint8)
+    deg = np.bitwise_count(words).sum(axis=1)
+    assert (deg[ns:H] < deg[H]).all()
+    covered = _subset_rows(words, s, t, wit, deg)
+    want = np.zeros(len(words), dtype=bool)
+    want[:ns:2] = True
+    np.testing.assert_array_equal(covered, want)
+    # the 32 pairs with H go first and cover every even s, whose low pairs
+    # are then skipped and keep their cached word; an odd s stays, so each
+    # of its pairs is tested and left on its first witnessing word
+    low = t < H
+    even = s % 2 == 0
+    assert (wit[low & even] == 1).all()
+    assert (wit[low & ~even] == 0).all()
+    assert (wit[~low & ~even] == 5).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(2, 40), width=st.sampled_from([1, 3, 700, 2048]),
+       pairs=st.integers(0, 1600), seed=st.integers(0, 2**32 - 1))
+def test_subset_rows_is_the_same_in_any_pair_order(size, width, pairs, seed):
+    # rows of every density on the first two words, so that sparse rows
+    # often lie in dense ones; wide rows make the full tests go a few
+    # pairs at a time, where the skip of covered s acts
+    rng = np.random.default_rng(seed)
+    bits = rng.random((size, 128)) < rng.random((size, 1))
+    words = np.zeros((size, width + 1), np.uint64)
+    words[:, :2] = pack_rows(bits)
+    words = np.ascontiguousarray(words[:, :width])
+    s, t = rng.integers(0, size, (2, pairs)).astype(np.uint16)
+    s, t = s[s != t], t[s != t]
+    wit = rng.integers(0, width, len(s)).astype(np.uint16)
+    deg = np.bitwise_count(words).sum(axis=1)
+    subset = ~(words[s] & ~words[t]).any(axis=1)
+    want = np.zeros(size, dtype=bool)
+    want[s[subset]] = True
+    order = rng.permutation(len(s))
+    for at in (np.arange(len(s)), order):
+        w = wit[at].copy()
+        covered = _subset_rows(words, s[at], t[at], w, deg)
+        np.testing.assert_array_equal(covered, want)
+        # every pair that is no subset and whose s stays is left on a word
+        # that witnesses it
+        left = words[s[at], w] & ~words[t[at], w] != 0
+        assert left[~subset[at] & ~covered[s[at]]].all()
 
 
 def oracle_nonadjacent_pairs(adj, keep):
@@ -419,9 +490,15 @@ def test_nonadjacent_pairs_match_unpacked_scan(size, kind):
     want_s, want_t = oracle_nonadjacent_pairs(adj, keep)
     # the arrays are filled exactly: no leftover of their allocation
     assert len(s) == len(t) == len(want_s)
-    order = np.lexsort((t, s))
-    np.testing.assert_array_equal(s[order], want_s)
-    np.testing.assert_array_equal(t[order], want_t)
+    # each pair once, as an unordered pair
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    order = np.lexsort((hi, lo))
+    np.testing.assert_array_equal(lo[order], want_s)
+    np.testing.assert_array_equal(hi[order], want_t)
+    # oriented: s is the vertex t could cover, the smaller degree, or the
+    # larger index of equal degrees
+    ds, dt = deg[s], deg[t]
+    assert ((ds < dt) | ((ds == dt) & (s > t))).all()
 
 
 @pytest.mark.parametrize("lex_min", [True, False])
@@ -495,6 +572,36 @@ def test_kernel_gets_ints_of_the_kept_set_only(monkeypatch):
     # each table is indexed by bit length 1..49, slot 0 unused
     assert [[len(t) for t in masks] for masks in handed] == [[50] * 3] * 2
     assert all(0 <= P < 2**49 for masks in handed for t in masks for P in t)
+
+
+# each pair-letter index's image under bit complement, word reversal and
+# both; each is an involution, so a channel's image has arc[p][:, p]
+LETTER_IMAGES = {"identity": [0, 1, 2, 3], "complement": [3, 2, 1, 0],
+                 "reversal": [0, 2, 1, 3], "both": [3, 1, 2, 0]}
+# the sha256 of the reductions of `test_reductions_are_pinned`
+REDUCTION_SHA256 = ("a1367e381fe00653fc750e72ebd8c672"
+                    "c626e11191eecf07dc6ae329d520cf90")
+
+
+def test_reductions_are_pinned():
+    # one sha256 over 672 reductions, each hashed as np.packbits(keep) and
+    # then the bytes of the rows it cleared: every channel at n=2..11, then
+    # F, G, L and Q under each symmetry at n=12 and 13.  A change to how
+    # the reduction lists, orders or tests its pairs leaves it unchanged
+    walks = {n: enumerate_walks(pair_shift_digraph(), n - 1)
+             for n in range(2, 14)}
+    cases = [(G.arc_matrix(), n) for G in ALL_CHANNELS for n in range(2, 12)]
+    for name in "FGLQ":
+        arc = NAMED_CHANNELS[name].arc_matrix()
+        for p in LETTER_IMAGES.values():
+            cases += [(arc[p][:, p], n) for n in (12, 13)]
+    assert len(cases) == 672
+    digest = hashlib.sha256()
+    for arc, n in cases:
+        rows = distinguishability_matrix(arc, walks[n])
+        digest.update(np.packbits(dominated_vertex_mask(rows)).tobytes())
+        digest.update(rows.tobytes())
+    assert digest.hexdigest() == REDUCTION_SHA256
 
 
 @pytest.mark.parametrize("n", range(2, 10))
