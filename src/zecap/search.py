@@ -29,11 +29,11 @@ covered in the round, the candidates t of highest degree first; and
 clears removed vertices' bits from the rows in place.  A kept set that
 is a clique is the answer, returned without a search.  Otherwise the
 pipeline compacts the kept set once into the packed rows of the graph it
-induces (`_induced_rows`) and runs branch and bound with greedy-coloring
-bounds on Python-int bitsets numbered top bit first: vertex v of n sits
-at bit n - 1 - v, so a bitset's lowest vertex is named by its
-`bit_length()` b = n - v, and every table is indexed by b
-(`_rows_to_bitsets`).  A coloring step is
+induces (`_induced_rows`), unless the reduction removed no vertex, and
+runs branch and bound with greedy-coloring bounds on Python-int bitsets
+numbered top bit first: vertex v of n sits at bit n - 1 - v, so a
+bitset's lowest vertex is named by its `bit_length()` b = n - v, and
+every table is indexed by b (`_rows_to_bitsets`).  A coloring step is
 `b = q.bit_length(); uncolored ^= top[b]; q &= far[b]`, with far[b] the
 non-neighbors of b, and a branch takes `P & adj[b]`.  Each node colors
 only the vertices it can branch on, those of color at least `kmin`
@@ -62,11 +62,25 @@ In deterministic mode the witness is the lexicographically smallest
 maximum clique among the kept vertices (all of them, with no lex-min
 search, when they form a clique).  That need not be the smallest of the
 whole graph: for channel 00-11 at n=3 the witness is {000, 111}, while
-{000, 011} is smaller.  It is chosen by decisions, one member at a time;
-each decision that finds a clique returns it, and a candidate inside the
-last clique found (at first the one branch and bound found) is kept
-without a search.  The result's `deterministic` flag records which
-mode chose the witness.
+{000, 011} is smaller.  It is chosen one candidate at a time, in vertex
+order: each is kept when a maximum clique runs through it and the
+members kept so far.  Two facts already proven settle most candidates.
+(1) A decision searches only the candidates after its own.  Each one
+before it that was not kept failed a decision with some of the members
+kept so far, and a failure with fewer kept members implies one with
+more, or it was refused with an orbit; so it lies in no maximum clique
+through them.  (2) The pass holds the pointwise stabilizer of the kept
+members in the walk group, as rows on bit lengths, and its orbits: the
+root's at first, recomputed only when a kept member shrinks the
+stabilizer.  A candidate whose orbit meets the last clique found (at
+first the one branch and bound found) is kept without a search: an
+element that fixes the kept members and maps a member of that clique
+onto the candidate maps the clique onto one through them and the
+candidate, which becomes the last clique found.  A decision that finds
+a clique returns it, and one that fails refuses the candidate's whole
+orbit.  Without a group the stabilizer is the identity, each orbit one
+vertex, and (2) keeps a candidate inside the last clique found.  The
+result's `deterministic` flag records which mode chose the witness.
 
 Branch and bound and the decisions share one table of proven failures
 per search (`_FailTable`): an entry P -> k says the graph induced on
@@ -304,16 +318,27 @@ def _has_clique_of_size(masks: _Masks, P: int, need: int,
 
 
 def _lex_min_witness(masks: _Masks, P: int, size: int, nodes: list[int],
-                     scan: Sequence[int], found: int, fail: dict[int, int]
-                     ) -> list[int]:
+                     scan: Sequence[int], found: int, group: np.ndarray,
+                     orbit: list[int], fail: dict[int, int]) -> list[int]:
     """The clique of the known maximum size inside bitset P that comes
     first in the order of `scan`, which lists P's members by bit length:
-    each member in turn is kept when a clique of that size runs through it
-    and the members kept so far.  `found` is the bitset of one such
-    clique, at first any clique of that size inside P: a member inside it
-    is kept without a search, and each decision search that finds a clique
-    replaces it.  `fail` is the branch and bound's table of proven
-    failures, on the same masks: each decision reads and extends it."""
+    each member b in turn is kept when a clique of that size runs through
+    it and the members kept so far.  `found` is the bitset of one such
+    clique, at first any clique of that size inside P.  `group` is a group
+    of automorphisms of the graph on bit lengths, one row per element
+    (g[b] the image of b, slot 0 to itself), and `orbit` the bitsets of its
+    orbits (`_orbit_bitsets`); after each member kept, only the elements
+    that fix it stay, and the orbits are recomputed when that drops one.
+
+    b is kept without a search when its orbit meets `found`: an element
+    that fixes the kept members and maps a member of found onto b maps
+    found onto a clique through them and b, which replaces it.  Otherwise
+    a decision searches b's neighbors in P among the members after b, as
+    each member before b that was not kept is in no such clique; one that
+    finds a clique returns it as the new `found`, and one that fails drops
+    b's whole orbit from P.  `fail` is the branch and bound's table of
+    proven failures, on the same masks: each decision reads and extends
+    it."""
     adj, _, top = masks
     chosen: list[int] = []
     kept = 0
@@ -322,16 +347,33 @@ def _lex_min_witness(masks: _Masks, P: int, size: int, nodes: list[int],
             break
         if not P & top[b]:
             continue
+        P ^= top[b]  # the decisions from here on search after b
         near = P & adj[b]
-        if not found & top[b]:
+        hit = orbit[b] & found
+        if not hit:
             rest = _has_clique_of_size(masks, near, size - len(chosen) - 1,
                                        nodes, fail)
             if rest is None:
+                P &= ~orbit[b]
                 continue
             found = rest | kept | top[b]
+        elif not found & top[b]:
+            # an element fixing the kept members that maps a member of
+            # found onto b
+            g = group[(group[:, hit.bit_length()] == b).argmax()]
+            members = []
+            while found:
+                members.append(found.bit_length())
+                found ^= top[members[-1]]
+            found = sum(top[x] for x in g[members].tolist())
         chosen.append(b)
         kept |= top[b]
         P = near
+        if len(group) > 1:  # one row left is the identity
+            fixed = group[:, b] == b
+            if not fixed.all():
+                group = group[fixed]
+                orbit = _orbit_bitsets(group)
     return chosen
 
 
@@ -391,14 +433,17 @@ def _smallest_last(rows: np.ndarray) -> np.ndarray:
     return order
 
 
-def _orbit_bitsets(label: np.ndarray) -> list[int]:
-    """The bitset of each vertex's orbit, the vertices that share its
-    label, indexed by bit length as in `_rows_to_bitsets`."""
-    n = len(label)
+def _orbit_bitsets(group: np.ndarray) -> list[int]:
+    """The bitset of each vertex's orbit under `group`, whose rows map bit
+    lengths to bit lengths (slot 0 to itself), indexed by bit length as in
+    `_rows_to_bitsets`: vertices share an orbit when they share their
+    least image."""
+    label = group.min(axis=0).tolist()
     members: dict[int, int] = {}
-    for v, lab in enumerate(label.tolist()):
-        members[lab] = members.get(lab, 0) | 1 << n - 1 - v
-    return [0, *(members[lab] for lab in label[::-1].tolist())]
+    for b, lab in enumerate(label):
+        # b's bit, 1 << b - 1, and none for slot 0
+        members[lab] = members.get(lab, 0) | 1 << b >> 1
+    return [members[lab] for lab in label]
 
 
 def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
@@ -419,8 +464,9 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
     `lex_min` then replaces the witness by the lexicographically smallest
     maximum clique (deterministic mode), decided in the search's numbering
     with the candidates tried in vertex order, starting from the clique
-    the search found.  Both read and fill one `_FailTable`, whose room is
-    `_fail_table_room(n)` entries.
+    the search found, with the same group on bit lengths (the identity
+    alone when the root closed or there is none).  Both read and fill one
+    `_FailTable`, whose room is `_fail_table_room(n)` entries.
 
     The rows become the kernel's masks (`_rows_to_bitsets`), in which a
     vertex is named by bit length.  The root colorings are complete
@@ -450,19 +496,25 @@ def max_clique_bitset(rows: np.ndarray, lex_min: bool = True,
         if sl_root[1][-1] < root[1][-1]:
             order, masks, root = sl_order, sl_masks, sl_root
     bits = n - np.argsort(order)  # the bit length of each vertex
-    label = np.arange(n)
+    # the group on bit lengths, slot 0 to itself: the identity alone
+    # unless the root leaves a gap
+    group = np.arange(n + 1)[None]
     if root[1][-1] > len(seed) and automorphisms is not None:
-        # vertices share an orbit when they share their least image
-        label = automorphisms().min(axis=0)[order]
+        g = automorphisms()
+        group = np.zeros((len(g), n + 1), np.min_scalar_type(n))
+        # g maps vertex v to g[v], and the vertex of bit length b is
+        # order[n - b]; gathered in the small type
+        group[:, 1:] = bits.astype(group.dtype)[g][:, order[::-1]]
+    orbit = _orbit_bitsets(group)
     fail = _FailTable(_fail_table_room(n))
-    kern = _CliqueKernel(masks, bits[seed].tolist(), _orbit_bitsets(label),
-                         fail)
+    kern = _CliqueKernel(masks, bits[seed].tolist(), orbit, fail)
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min:
         witness = _lex_min_witness(masks, P, kern.best, nodes, bits.tolist(),
-                                   sum(masks[2][b] for b in witness), fail)
+                                   sum(masks[2][b] for b in witness), group,
+                                   orbit, fail)
     witness = sorted(order[n - np.array(witness)].tolist())
     return SearchResult(kern.best, witness, nodes[0],
                         time.perf_counter() - t0, lex_min)
@@ -648,7 +700,8 @@ def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float,
                   automorphisms: Callable[[], np.ndarray] | None = None
                   ) -> SearchResult:
     """The search pipeline for packed rows: dominance reduction, the
-    packed rows of the kept set compacted once, branch and bound on them.
+    packed rows of the kept set compacted once (the rows themselves when
+    it kept every vertex), branch and bound on them.
     When the k kept rows' popcounts sum to k(k - 1), the kept set is a
     clique, the only maximum clique, and it is returned before the
     compaction with `nodes_explored` 1, the result the kernel gives after
@@ -663,8 +716,9 @@ def _solve_clique(rows: np.ndarray, lex_min: bool, t0: float,
         # a kept row holds at most the k - 1 other kept bits
         return SearchResult(k, kept.tolist(), 1, time.perf_counter() - t0,
                             lex_min)
-    # the full rows are let go before the search
-    rows = _induced_rows(rows, kept)
+    if k < len(keep):
+        # the full rows are let go before the search
+        rows = _induced_rows(rows, kept)
 
     def kept_automorphisms() -> np.ndarray:
         g = automorphisms()

@@ -2,13 +2,16 @@
 little-endian bitsets, vertex v at bit v, which finds each bitset's lowest
 vertex by `q & -q`.  Both make the same branching decisions, so sizes,
 witnesses and node counts agree exactly.  The smallest-last order and the
-walk group are checked against plain-loop references the same way."""
+walk group are checked against plain-loop references the same way, and
+the lex-min witness, with the walk group and without it, against
+networkx."""
 
 import itertools
 import sys
 from typing import Callable
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -134,23 +137,34 @@ def reference_has_clique_of_size(far, P, need, kernel_nodes, fail):
     return None
 
 
-def reference_lex_min_witness(far, P, size, nodes, scan, found, fail):
+def reference_lex_min_witness(far, P, size, nodes, scan, found, group,
+                              orbit, fail):
     chosen, kept = [], 0
     for v in scan:
         if len(chosen) == size:
             break
         if not P >> v & 1:
             continue
-        near = P & ~far[v] ^ 1 << v
-        if not found >> v & 1:
+        P ^= 1 << v
+        near = P & ~far[v]
+        hit = orbit[v] & found
+        if not hit:
             rest = reference_has_clique_of_size(
                 far, near, size - len(chosen) - 1, nodes, fail)
             if rest is None:
+                P &= ~orbit[v]
                 continue
             found = rest | kept | 1 << v
+        elif not found >> v & 1:
+            w = (hit & -hit).bit_length() - 1
+            g = next(g for g in group if g[w] == v)
+            found = sum(1 << int(g[u]) for u in range(len(g))
+                        if found >> u & 1)
         chosen.append(v)
         kept |= 1 << v
         P = near
+        group = group[group[:, v] == v]
+        orbit = reference_orbit_bitsets(group)
     return chosen
 
 
@@ -172,11 +186,12 @@ def reference_smallest_last(rows):
     return order
 
 
-def reference_orbit_bitsets(label):
+def reference_orbit_bitsets(group):
+    label = group.min(axis=0).tolist()
     members = {}
-    for v, lab in enumerate(label.tolist()):
+    for v, lab in enumerate(label):
         members[lab] = members.get(lab, 0) | 1 << v
-    return [members[lab] for lab in label.tolist()]
+    return [members[lab] for lab in label]
 
 
 def reference_max_clique_bitset(
@@ -205,19 +220,20 @@ def reference_max_clique_bitset(
         if sl_root[1][-1] < root[1][-1]:
             order, far, root = sl_order, sl_far, sl_root
     rank = np.argsort(order)
-    label = np.arange(n)
+    # the group on search numbers: g maps vertex order[i] to g[order[i]]
+    group = np.arange(n)[None]
     if root[1][-1] > len(seed) and automorphisms is not None:
-        label = automorphisms().min(axis=0)[order]
+        group = rank[automorphisms()[:, order]]
+    orbit = reference_orbit_bitsets(group)
     fail = _FailTable(_fail_table_room(n))
-    kern = ReferenceKernel(far, rank[seed].tolist(),
-                           reference_orbit_bitsets(label), fail)
+    kern = ReferenceKernel(far, rank[seed].tolist(), orbit, fail)
     kern.expand([], P, root)
     witness = kern.best_set
     nodes = [kern.nodes]
     if lex_min:
         witness = reference_lex_min_witness(
             far, P, kern.best, nodes, rank.tolist(),
-            sum(1 << v for v in witness), fail)
+            sum(1 << v for v in witness), group, orbit, fail)
     return SearchResult(kern.best, sorted(order[witness].tolist()), nodes[0],
                         0.0, lex_min)
 
@@ -306,6 +322,80 @@ def test_kernel_matches_reference_under_a_walk_group(pair, n, lex_min):
         assert got == want
 
 
+def clique_number(g):
+    return nx.max_weight_clique(g, weight=None)[1]
+
+
+def lex_min_maximum_clique(adj, omega):
+    """networkx's lexicographically smallest clique of omega vertices in
+    adj: each vertex in turn is taken when a clique of that size runs
+    through it and the vertices taken so far, found among the maximal
+    cliques of their common neighbors."""
+    g = nx.from_numpy_array(adj)
+    chosen, near = [], set(g)
+    for v in range(len(adj)):
+        need = omega - len(chosen) - 1
+        if v in near and (need == 0 or any(
+                len(c) >= need
+                for c in nx.find_cliques(g.subgraph(near & set(g[v]))))):
+            chosen.append(v)
+            near &= set(g[v])
+    return chosen
+
+
+def relabelings(D, k):
+    """Every distinct digraph obtained by relabeling D's vertices."""
+    return list({frozenset((p[a], p[b]) for a, b in D.arcs): None
+                 for p in itertools.permutations(range(k))})
+
+
+def assert_group_keeps_every_lex_min_witness(D, P, n, omega=None):
+    """Every search omega_s hands the kernel, run again with its group and
+    without one: both witnesses are networkx's lex-min maximum clique.
+    `omega`, when given, is the clique number of every such graph."""
+    seen = []
+    search = zecap.search.max_clique_bitset
+
+    def spy(rows, lex_min=True, automorphisms=None):
+        seen.append((rows, automorphisms))
+        return search(rows, lex_min, automorphisms)
+
+    with mock.patch.object(zecap.search, "max_clique_bitset", spy):
+        omega_s(D, P, n)
+    for rows, automorphisms in seen:
+        grouped = max_clique_bitset(rows, True, automorphisms)
+        plain = max_clique_bitset(rows, True, None)
+        adj = unpack_rows(rows, rows.shape[0])
+        size = omega or clique_number(nx.from_numpy_array(adj))
+        assert (grouped.size, grouped.witness) \
+            == (plain.size, plain.witness) \
+            == (size, lex_min_maximum_clique(adj, size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=digraph_pair(), n=st.integers(1, 3))
+def test_lex_min_witness_is_the_same_with_and_without_the_group(pair, n):
+    assert_group_keeps_every_lex_min_witness(*pair, n)
+
+
+@pytest.fixture(scope="module")
+def pentagon_omega():
+    # one clique number serves all 12 labelings: a relabeling of the
+    # pentagon's vertices relabels the walks of K5 onto themselves
+    walks = enumerate_walks(complete_digraph(5), 3)
+    rows = zecap.search.distinguishability_matrix(
+        cycle_sym_digraph(5).arc_matrix(), walks)
+    return clique_number(nx.from_numpy_array(unpack_rows(rows, len(walks))))
+
+
+@pytest.mark.parametrize("arcs", relabelings(cycle_sym_digraph(5), 5))
+def test_pentagon_lex_min_witness_is_the_same_without_the_group(
+        arcs, pentagon_omega):
+    assert pentagon_omega == 10
+    assert_group_keeps_every_lex_min_witness(
+        Digraph(5, arcs), complete_digraph(5), 3, pentagon_omega)
+
+
 def circulant(size, steps):
     """The regular graph joining i and i +- d mod size for d in steps."""
     adj = np.zeros((size, size), bool)
@@ -334,12 +424,6 @@ def test_smallest_last_matches_the_reference(size, kind, density, seed):
     rows = pack_rows(adj)
     np.testing.assert_array_equal(_smallest_last(rows),
                                   reference_smallest_last(rows))
-
-
-def relabelings(D, k):
-    """Every distinct digraph obtained by relabeling D's vertices."""
-    return list({frozenset((p[a], p[b]) for a, b in D.arcs): None
-                 for p in itertools.permutations(range(k))})
 
 
 @pytest.mark.parametrize("D, P, n", [

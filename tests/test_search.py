@@ -804,6 +804,21 @@ def test_arc01_fibonacci_nodes():
     assert arc01_fibonacci(11, swap=True).nodes_explored == 84
 
 
+# the sha256 of arc01/fibonacci's witness at n=12, its words joined by
+# spaces, as the search found it in 65 169 nodes, when each lex-min decision
+# searched all of P
+ARC01_FIBONACCI_12_WITNESS = \
+    "ebaa392786e38c2a0344cd302ac2e4db8c8255da0bf843537add924ffae15eb4"
+
+
+def test_arc01_fibonacci_12_keeps_its_witness_in_fewer_nodes():
+    res = arc01_fibonacci(12)
+    assert res.size == 126
+    assert res.nodes_explored < 65_169
+    assert hashlib.sha256(" ".join(res.witness).encode()).hexdigest() \
+        == ARC01_FIBONACCI_12_WITNESS
+
+
 def omega_s_without_group(D, P, n, lex_min=True):
     """omega_s searched with the identity alone for its walk group."""
     with pytest.MonkeyPatch.context() as mp:
@@ -857,23 +872,25 @@ def test_pentagon_walk_group_keeps_size_and_witness(n):
 
 
 # the 12 labelings' node counts, sorted, when the search keeps no table
-# of proven failures
-PENTAGON_NODES_WITHOUT_TABLE = [579, 954, 1000, 1008, 1034, 1492, 1525, 1963,
-                                2109, 2194, 2653, 2765]
+# of proven failures (19 276 in total when each lex-min decision searched
+# all of P, and without the walk group's images)
+PENTAGON_NODES_WITHOUT_TABLE = [530, 893, 913, 934, 953, 1389, 1432, 1724,
+                                1882, 2031, 2435, 2470]
 
 
 def test_pentagon_nodes():
     # the 12 labelings at n=3 took 67 764 nodes in total without the walk
-    # group and the lex-min pass's found cliques, and 19 276 without the
-    # table of proven failures; a change to the kernel's speed leaves every
-    # count as it is
+    # group and the lex-min pass's found cliques, 19 276 without the table
+    # of proven failures, and 9 141 when each lex-min decision searched all
+    # of P and the group settled no candidate; a change to the kernel's
+    # speed leaves every count as it is
     results = [omega_s(D, complete_digraph(5), 3)
                for D in pentagon_labelings()]
     assert len(results) == 12
     nodes = sorted(r.nodes_explored for r in results)
-    assert nodes == [463, 620, 690, 699, 711, 720, 725, 732, 805, 889, 1029,
-                     1058]
-    assert sum(nodes) == 9_141
+    assert nodes == [428, 566, 617, 663, 666, 667, 667, 679, 700, 730, 969,
+                     972]
+    assert sum(nodes) == 8_324
 
 
 class ForgetfulTable(dict):
@@ -907,7 +924,8 @@ def test_forgetful_table_keeps_the_old_decision_count(monkeypatch):
                         lambda *a: calls.append(a) or decide(*a))
     monkeypatch.setattr(zecap.search, "_FailTable", ForgetfulTable)
     res = omega_s(cycle_sym_digraph(5), complete_digraph(5), 3)
-    assert (res.size, res.nodes_explored, len(calls)) == (10, 2194, 678)
+    # 2194 nodes and 678 calls when each decision searched all of P
+    assert (res.size, res.nodes_explored, len(calls)) == (10, 2031, 303)
 
 
 def test_fail_table_entries_hold_no_clique_of_their_size(monkeypatch):
@@ -1097,6 +1115,25 @@ def test_group_is_derived_only_when_the_root_leaves_a_gap(monkeypatch):
     assert len(calls) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@example(pair=(cycle_sym_digraph(5), complete_digraph(5)), n=3)
+@example(pair=ORBIT_EXAMPLES[0], n=3)
+@given(pair=digraph_pair(), n=st.integers(1, 3))
+def test_walk_group_is_derived_at_most_once_per_search(pair, n):
+    # branch and bound and the lex-min pass share the one group
+    calls = []
+    derive = zecap.search._walk_automorphisms
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zecap.search, "_walk_automorphisms", spy)
+        omega_s(*pair, n)
+    assert len(calls) <= 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(size=st.integers(0, 30), density=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 2**30 - 1),
@@ -1170,7 +1207,8 @@ def test_lex_min_witness_does_not_depend_on_the_clique_it_starts_from(
     for c in maximum[:10]:
         chosen = _lex_min_witness(masks, (1 << size) - 1, omega, [0],
                                   [size - v for v in range(size)],
-                                  flip(sum(1 << v for v in c), size), {})
+                                  flip(sum(1 << v for v in c), size),
+                                  np.arange(size + 1)[None], masks[2], {})
         assert [size - b for b in chosen] == min(maximum)
 
 
